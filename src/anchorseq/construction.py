@@ -4,9 +4,10 @@ An anchor family assigns to every prime p and exponent n >= 1 a residue
 class representative anchor(p, n).  The multiplicity of p in the
 coefficient a_s is the largest n with s = anchor(p, n) (mod p^n); the
 coefficient is the product of those prime powers.  Coherence of the
-anchors (anchor(p, n) = anchor(p, m) mod p^m for m < n) makes the
-satisfied exponents an initial segment, so the multiplicity is found by
-scanning n upward until the first failure.
+anchors (anchor(p, n) = anchor(p, m) mod p^m for m < n) means they
+converge to a p-adic limit u/w with p not dividing w, so the
+multiplicity is just v_p(w*s - u).  That limit must not be an integer,
+or the index equal to it would carry every power of p.
 """
 
 from __future__ import annotations
@@ -33,37 +34,21 @@ def anchor_default(p: int, n: int) -> int:
 
 
 class AnchorScheme:
-    """Base class; subclasses supply anchors and candidate-prime windows."""
+    """Base class; subclasses supply anchors, their p-adic limits and a
+    bound on the primes that can divide a coefficient."""
 
     scheme_id: str
 
     def anchor(self, p: int, n: int) -> int:
         raise NotImplementedError
 
-    def candidate_primes(self, s: int) -> list[int]:
-        """Every prime p that can satisfy s = anchor(p, 1) (mod p)."""
+    def limit(self, p: int) -> tuple[int, int]:
+        """(u, w) with anchor(p, n) = u/w (mod p^n) for every n."""
         raise NotImplementedError
 
-    def range_primes(self, lo: int, hi: int) -> list[int]:
-        """Superset of candidate primes for all s in [lo, hi]."""
+    def prime_bound(self, bound: int) -> int:
+        """Bound on every prime dividing some a_s with |s| <= bound."""
         raise NotImplementedError
-
-    def exponent_cap(self, p: int, s: int) -> int:
-        """Smallest n at which s = anchor(p, n) (mod p^n) is provably false.
-
-        Guaranteed false whenever |s| is smaller than the distance of the
-        anchor's residue class from 0; by coherence, failure at one n
-        forces failure at every larger n.
-        """
-        for n in range(1, 8 * max(abs(s), 2).bit_length() + 64):
-            pn = p**n
-            a0 = self.anchor(p, n) % pn
-            if min(a0, pn - a0) > abs(s):
-                return n
-        raise SchemeError(
-            f"scheme {self.scheme_id!r}: no exponent cap for p={p}, s={s} "
-            "(anchors converge p-adically to an integer?)"
-        )
 
     def __repr__(self) -> str:
         return f"<AnchorScheme {self.scheme_id}>"
@@ -75,37 +60,32 @@ class DefaultScheme(AnchorScheme):
     def anchor(self, p: int, n: int) -> int:
         return anchor_default(p, n)
 
-    def candidate_primes(self, s: int) -> list[int]:
-        # s = (p+1)/2 (mod p) iff p | 2s - 1, so the odd candidates are the
-        # odd prime factors of |2s - 1|; p = 2 hits exactly the odd s.
-        primes = [2] if s % 2 else []
-        m = abs(2 * s - 1)
-        d = 3
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 2
-        if m > 1:
-            primes.append(m)
-        return sorted(primes)
+    def limit(self, p: int) -> tuple[int, int]:
+        return (1, 3) if p == 2 else (1, 2)
 
-    def range_primes(self, lo: int, hi: int) -> list[int]:
-        bound = 2 * max(abs(lo), abs(hi)) + 1
-        return sieve_primes(max(bound, 2))
+    def prime_bound(self, bound: int) -> int:
+        # an odd p divides a_s iff p | 2s - 1
+        return 2 * bound + 1
+
+
+def _limit(scheme: AnchorScheme, p: int) -> tuple[int, int]:
+    u, w = scheme.limit(p)
+    if u % w == 0:
+        raise SchemeError(
+            f"scheme {scheme.scheme_id!r}: anchor limit {u}/{w} at p={p} is an "
+            "integer, whose index would carry every power of p"
+        )
+    return u, w
 
 
 def np_exponent(scheme: AnchorScheme, p: int, s: int) -> int:
-    """Multiplicity of p in the coefficient at index s."""
+    """Multiplicity of p in the coefficient at index s: v_p(w*s - u)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cap = scheme.exponent_cap(p, s)
-    n = 0
-    while n + 1 <= cap:
-        pn = p ** (n + 1)
-        if (s - scheme.anchor(p, n + 1)) % pn != 0:
-            break
+    u, w = _limit(scheme, p)
+    x, n = w * s - u, 0
+    while x % p == 0:
+        x //= p
         n += 1
     return n
 
@@ -140,33 +120,37 @@ class Factorization:
 
 
 def coefficient(scheme: AnchorScheme, s: int) -> Factorization:
-    """The coefficient a_s = prod p^(multiplicity of p at s)."""
-    exps = []
-    for p in scheme.candidate_primes(s):
-        e = np_exponent(scheme, p, s)
-        if e > 0:
-            exps.append((p, e))
-    return Factorization(tuple(sorted(exps)))
+    """The coefficient a_s = prod p^(multiplicity of p at s).
+
+    Costs a prime sieve up to scheme.prime_bound(|s|); use
+    coefficient_range for many indices.
+    """
+    return coefficient_range(scheme, s, s)[s]
 
 
 def coefficient_range(scheme: AnchorScheme, lo: int, hi: int) -> dict[int, Factorization]:
     """Coefficients for every s in [lo, hi], computed sieve-style.
 
-    One pass per relevant prime marks the indices in its n = 1 residue
-    class; only those indices get an exact multiplicity scan.  Much
-    faster than per-index candidate enumeration over large ranges.
+    For each prime up to the scheme's bound, one strided pass per level n
+    marks the indices s = u/w (mod p^n) as having multiplicity >= n; the
+    level-1 class is anchor(p, 1).  The passes stop once the class has no
+    index left in [lo, hi].
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
     exps: dict[int, list[tuple[int, int]]] = {s: [] for s in range(lo, hi + 1)}
-    for p in scheme.range_primes(lo, hi):
-        a1 = scheme.anchor(p, 1) % p
-        start = lo + (a1 - lo) % p
-        for s in range(start, hi + 1, p):
-            e = np_exponent(scheme, p, s)
-            if e > 0:
-                exps[s].append((p, e))
-    return {s: Factorization(tuple(sorted(pe))) for s, pe in exps.items()}
+    for p in sieve_primes(scheme.prime_bound(max(abs(lo), abs(hi)))):
+        u, w = _limit(scheme, p)
+        mult: dict[int, int] = {}
+        n, pn, c = 1, p, scheme.anchor(p, 1)
+        while (start := lo + (c - lo) % pn) <= hi:
+            for s in range(start, hi + 1, pn):
+                mult[s] = n
+            n, pn = n + 1, pn * p
+            c = u * pow(w, -1, pn)
+        for s, e in mult.items():
+            exps[s].append((p, e))
+    return {s: Factorization(tuple(pe)) for s, pe in exps.items()}
 
 
 def coefficient_table(scheme: AnchorScheme, lo: int, hi: int) -> list[tuple[int, Factorization]]:

@@ -5,13 +5,13 @@ coefficient exceeds 1.  Scheme "euler_prime" picks quadratic-nonresidue
 anchors so that the coefficients vanish along s = -i*(i+1), leaving
 those indices free to be prime.
 
-Higher-exponent anchors use the coherent completion
-anchor(p, n) = anchor(p, n-1) + p^(n-1) for odd p, which keeps the
-mod-p^m coherence that the divisibility arguments need.  For p = 2 in
-the no_prime scheme the step alternates sign (anchor(2, n) =
-anchor(2, n-1) - (-2)^(n-1)); a constant +2^(n-1) step would make the
-anchors converge 2-adically to the integer -2 and leave the coefficient
-at s = -2 undefined.
+Higher-exponent anchors at odd p use the coherent completion
+anchor(p, n) = s1 + p + ... + p^(n-1), whose p-adic limit is
+s1 + p/(1-p).  At p = 2, euler_prime keeps the default anchors (limit
+1/3) and no_prime steps with alternating sign, anchor(2, n) =
+anchor(2, n-1) - (-2)^(n-1), whose limit is 2/3; a constant +2^(n-1)
+step would converge 2-adically to the integer -2 and give the index
+s = -2 every power of 2.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ def qnr_anchor(p: int) -> QnrAnchorChoice:
     widened = p < 5
     lo, hi = (1, p - 1) if widened else (-(-(p - 1) // 4), (p - 1) // 2)
     for s1 in range(lo, hi + 1):
-        a = (1 - 4 * s1) % p
-        if a == 0:
-            continue
-        if legendre_symbol(a, p) == -1:
+        # Euler's criterion, as in legendre_symbol
+        if pow((1 - 4 * s1) % p, (p - 1) // 2, p) == p - 1:
             return QnrAnchorChoice(p, s1, widened)
     raise NoChoiceInWindow(f"no QNR anchor for p={p} in [{lo}, {hi}]")
 
@@ -134,21 +132,24 @@ def euler_prime_anchor(p: int, n: int) -> int:
     return s1 + sum(p**m for m in range(1, n))
 
 
+def _completion_limit(s1: int, p: int) -> tuple[int, int]:
+    """p-adic limit of s1 + p + p^2 + ..., which is s1 + p/(1-p)."""
+    return s1 * (1 - p) + p, 1 - p
+
+
 class NoPrimeScheme(AnchorScheme):
     scheme_id = "no_prime"
 
     def anchor(self, p: int, n: int) -> int:
         return no_prime_anchor(p, n)
 
-    def candidate_primes(self, s: int) -> list[int]:
-        primes = [2]
-        for p in _odd_primes(2 * abs(s) + 3):
-            if (s - self.anchor(p, 1)) % p == 0:
-                primes.append(p)
-        return primes
+    def limit(self, p: int) -> tuple[int, int]:
+        return (2, 3) if p == 2 else _completion_limit(no_prime_anchor(p, 1), p)
 
-    def range_primes(self, lo: int, hi: int) -> list[int]:
-        return [2] + _odd_primes(2 * max(abs(lo), abs(hi)) + 3)
+    def prime_bound(self, bound: int) -> int:
+        # p_j > 2j exceeds |s - s1| once j > 2|s| + 3, and s = s1 = ±(j//2)
+        # needs j <= 2|s| + 1
+        return _odd_primes(2 * bound + 3)[-1]
 
 
 class EulerPrimeScheme(AnchorScheme):
@@ -157,15 +158,12 @@ class EulerPrimeScheme(AnchorScheme):
     def anchor(self, p: int, n: int) -> int:
         return euler_prime_anchor(p, n)
 
-    def candidate_primes(self, s: int) -> list[int]:
-        primes = [2] if s % 2 else []
-        for p in sieve_primes(4 * abs(s) + 2)[1:]:
-            if (s - qnr_anchor(p).s1) % p == 0:
-                primes.append(p)
-        return sorted(primes)
+    def limit(self, p: int) -> tuple[int, int]:
+        return (1, 3) if p == 2 else _completion_limit(qnr_anchor(p).s1, p)
 
-    def range_primes(self, lo: int, hi: int) -> list[int]:
-        return sieve_primes(max(4 * max(abs(lo), abs(hi)) + 2, 2))
+    def prime_bound(self, bound: int) -> int:
+        # s1 lies in [(p-1)/4, (p-1)/2], so p | s - s1 forces p <= 4|s| + 2
+        return 4 * bound + 2
 
 
 SCHEMES: dict[str, AnchorScheme] = {

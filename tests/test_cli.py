@@ -74,15 +74,16 @@ class TestVerify:
         assert "FAIL at p = 2" in out
 
     def test_broken_scheme_fixture_fails_e(self, capsys, monkeypatch):
-        from anchorseq.construction import DefaultScheme
+        from anchorseq.construction import DefaultScheme, anchor_default
 
         class Broken(DefaultScheme):
             scheme_id = "broken"
 
-            def exponent_cap(self, p, s):
-                # refuses second powers: the spacing witness for a
-                # multiplicity-1 index can never be found
-                return 1
+            def anchor(self, p, n):
+                # frozen at the first level, out of step with the default
+                # limit: the spacing witness built from anchor(p, n+1) only
+                # ever carries p^1, never the p^(n+1) it needs
+                return anchor_default(p, 1)
 
         monkeypatch.setitem(SCHEMES, "broken", Broken())
         code, out, _ = run(capsys, "verify", "E", "--scheme", "broken", "--range", "10")

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from anchorseq import (
-    AnchorScheme,
+    DefaultScheme,
     SolutionFamily,
     WitnessNotFound,
     check_admissibility,
@@ -95,17 +95,14 @@ class TestConditionE:
                     assert np_exponent(scheme, p, w.r) >= w.n + 1
 
     def test_witness_not_found_for_broken_scheme(self):
-        class NoSpacing(AnchorScheme):
+        class NoSpacing(DefaultScheme):
             scheme_id = "no_spacing"
 
             def anchor(self, p, n):
-                # one fixed anchor per prime at every level; with the cap at
-                # 2, the anchor index itself tops out at multiplicity 2 and
-                # no index can carry the third power it would need
+                # one fixed anchor per prime at every level, out of step with
+                # the default limit: the witness for s = 4 (7 || a_4) would
+                # be the anchor index itself
                 return (p + 1) // 2 if p > 2 else 1
-
-            def exponent_cap(self, p, s):
-                return 2
 
         with pytest.raises(WitnessNotFound):
             check_condition_E(NoSpacing(), 4, 7)

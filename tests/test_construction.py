@@ -1,7 +1,11 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorseq import (
+    DefaultScheme,
+    SchemeError,
     anchor_default,
     coefficient,
     coefficient_range,
@@ -10,6 +14,8 @@ from anchorseq import (
     np_exponent,
     sieve_primes,
 )
+from anchorseq.cli import EXIT_INTERNAL, main
+from anchorseq.variants import SCHEMES
 
 DEFAULT = get_scheme("default")
 ALL_SCHEMES = [get_scheme(n) for n in ("default", "no_prime", "euler_prime")]
@@ -123,6 +129,14 @@ class TestCoefficient:
         assert d == {"s": 11, "value": "672", "factors": [[2, 5], [3, 1], [7, 1]]}
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(-(10**5), 10**5))
+def test_default_closed_form(lo):
+    # a_s = 2^v_2(3s - 1) * |2s - 1|; x & -x is the 2-part of x != 0
+    for s, f in coefficient_range(DEFAULT, lo, lo + 200).items():
+        assert f.value == ((3 * s - 1) & -(3 * s - 1)) * abs(2 * s - 1), s
+
+
 class TestDefaultSchemeProperties:
     def test_odd_prime_characterization(self):
         # p | a_s iff p | 2s - 1, for odd p
@@ -156,10 +170,28 @@ class TestCoherence:
                         assert diff % p**m == 0, (scheme.scheme_id, p, m, n)
 
 
-def test_exponent_cap_is_sound():
-    # the congruence must be false at the cap (and hence ever after)
+def test_anchors_converge_to_limit():
+    # anchor(p, n) = u/w (mod p^n), the identity np_exponent relies on
     for scheme in ALL_SCHEMES:
-        for p in (2, 3, 5, 7):
-            for s in range(-50, 51):
-                cap = scheme.exponent_cap(p, s)
-                assert (s - scheme.anchor(p, cap)) % p**cap != 0
+        for p in sieve_primes(97):
+            u, w = scheme.limit(p)
+            for n in range(1, 9):
+                assert (w * scheme.anchor(p, n) - u) % p**n == 0, (scheme.scheme_id, p, n)
+
+
+def test_integer_limit_raises_scheme_error(monkeypatch, capsys):
+    # the limit of s1 + 2 + 4 + ... is the integer s1 - 2 (here -1), whose
+    # index would carry every power of 2
+    class IntegerLimit(DefaultScheme):
+        scheme_id = "integer_limit"
+
+        def limit(self, p):
+            return (-1, 1) if p == 2 else super().limit(p)
+
+    with pytest.raises(SchemeError, match="p=2"):
+        np_exponent(IntegerLimit(), 2, 5)
+    with pytest.raises(SchemeError):
+        coefficient_range(IntegerLimit(), -3, 3)
+    monkeypatch.setitem(SCHEMES, "integer_limit", IntegerLimit())
+    assert main(["table", "--scheme", "integer_limit", "--range", "-3..3"]) == EXIT_INTERNAL
+    assert "internal consistency failure" in capsys.readouterr().err

@@ -73,10 +73,9 @@ class TestNoPrimeAnchors:
     def test_every_index_is_anchored(self):
         # each s has some prime with s = anchor(p, 1) (mod p)
         scheme = get_scheme("no_prime")
+        primes = sieve_primes(scheme.prime_bound(40))
         for s in range(-40, 41):
-            assert any(
-                (s - scheme.anchor(p, 1)) % p == 0 for p in scheme.candidate_primes(s)
-            ), s
+            assert any((s - scheme.anchor(p, 1)) % p == 0 for p in primes), s
 
     def test_two_adic_anchors_never_trap_an_integer(self):
         # the alternating completion keeps every multiplicity finite; a
@@ -124,13 +123,14 @@ class TestSchemeRegistry:
         with pytest.raises(ValueError, match="unknown scheme"):
             get_scheme("bogus")
 
-    def test_candidate_windows_complete(self):
+    def test_prime_bound_complete(self):
         # brute oracle: every prime below a generous bound whose level-1
-        # class contains s must appear among the candidates
+        # class contains s must lie within the bound and divide a_s
         for name in ("default", "no_prime", "euler_prime"):
             scheme = get_scheme(name)
             for s in range(-50, 51):
-                candidates = set(scheme.candidate_primes(s))
+                factors = {p for p, _ in coefficient(scheme, s).exponents}
                 for p in sieve_primes(500):
                     if (s - scheme.anchor(p, 1)) % p == 0:
-                        assert p in candidates, (name, s, p)
+                        assert p <= scheme.prime_bound(abs(s)), (name, s, p)
+                        assert p in factors, (name, s, p)
