@@ -2,8 +2,8 @@
 
 Subcommands: table, verify {C|E|D}, solve, search, galaxy, scheme-info.
 Exit statuses: 0 success, 1 check failed, 2 usage error, 3 internal
-consistency failure.  Big integers render as decimal strings in JSON so
-no consumer loses precision.
+failure; no error prints a traceback.  Big integers render as decimal
+strings in JSON so no consumer loses precision.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .conditions import (
@@ -22,18 +21,14 @@ from .conditions import (
 )
 from .construction import SchemeError, coefficient_table
 from .crt import Incompatible, solve_scheme
-from .search import (
-    DEFAULT_SIEVE_BOUND,
-    galaxy_report,
-    search_tuples,
-    witness_from_json_dict,
-)
+from .search import galaxy_report, search_tuples, witness_from_json_dict
 from .variants import SCHEMES, get_scheme, qnr_anchor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+MAX_DIGITS = 4300  # Python's default limit on int <-> str conversion (3.11+)
 
 
 class UsageError(Exception):
@@ -41,14 +36,26 @@ class UsageError(Exception):
 
 
 def _parse_int(text: str) -> int:
-    """Integer, allowing scientific notation like 1e6."""
+    """Integer, allowing scientific notation like 1e6, read exactly (not via float)."""
     try:
         return int(text)
     except ValueError:
-        value = float(text)
-        if value != int(value):
-            raise UsageError(f"not an integer: {text!r}") from None
-        return int(value)
+        from decimal import Decimal, InvalidOperation  # imported here: it slows start-up
+    try:
+        value = Decimal(text)
+        if not value.is_finite() or value != value.to_integral_value():
+            raise InvalidOperation
+    except InvalidOperation:
+        raise UsageError(f"not an integer: {text!r}") from None
+    if value.adjusted() >= MAX_DIGITS:
+        raise UsageError(f"more than {MAX_DIGITS} digits: {text[:20]!r}")
+    return int(value)
+
+
+def _positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -144,7 +151,6 @@ def cmd_search(args) -> int:
         k_count=k_hi - k_lo + 1,
         r_min=args.rmin,
         max_witnesses=args.max_witnesses,
-        sieve_bound=args.sieve_bound,
         use_sieve=not args.no_sieve,
         extra_rounds=args.extra_rounds,
         workers=args.workers,
@@ -182,13 +188,19 @@ def _first_witness(text: str) -> dict:
 
 def cmd_galaxy(args) -> int:
     scheme = get_scheme(args.scheme)
+    text = args.witness
     if args.witness_file:
-        with open(args.witness_file) as fh:
-            text = fh.read()
-        data = _first_witness(text)
-    else:
-        data = _first_witness(args.witness)
-    witness = witness_from_json_dict(data)
+        try:
+            with open(args.witness_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read witness file: {exc}") from None
+    try:
+        witness = witness_from_json_dict(_first_witness(text))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"malformed witness: {exc!r}") from None
+    if 0 not in witness.values:
+        raise UsageError("malformed witness: no value at s = 0")
     try:
         report = galaxy_report(scheme, witness)
     except ValueError as exc:
@@ -249,15 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", required=True, help="inclusive shift range lo..hi (1e6 ok)")
     p.add_argument("--rmin", type=int, default=0, help="strict lower bound on entries")
-    p.add_argument("--max-witnesses", type=int, default=None)
-    p.add_argument("--sieve-bound", type=int, default=DEFAULT_SIEVE_BOUND)
+    p.add_argument("--max-witnesses", type=_positive_int, default=None)
     p.add_argument("--no-sieve", action="store_true")
     p.add_argument("--extra-rounds", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("ANCHORSEQ_WORKERS", "1")),
-    )
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("galaxy", help="factored galaxy report around a witness")
@@ -277,16 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_range_values(argv: list[str]) -> list[str]:
     """Join `--range -3..3` into `--range=-3..3` so argparse does not
     mistake the negative bound for an option."""
-    merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if token in ("--range", "--k") and nxt is not None and nxt.startswith("-"):
-            merged.append(f"{token}={nxt}")
-            skip = True
+    merged: list[str] = []
+    for token in argv:
+        if merged and merged[-1] in ("--range", "--k") and token.startswith("-"):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
@@ -303,10 +304,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InadmissibleFamily as exc:
@@ -314,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except (Incompatible, SchemeError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

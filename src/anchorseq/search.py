@@ -2,15 +2,22 @@
 
 Each index contributes a linear form x_s(k) = xbar_s + step_s * k; a
 witness is a shift k where every form is prime and exceeds the floor
-r_min.  A residue pre-sieve removes shifts where some form is divisible
-by a small prime, taking care never to remove a shift whose form equals
-that prime itself.
+r_min.  A segmented residue sieve (Bays & Hudson, BIT 17, 1977) removes
+shifts where some form is divisible by a small prime p.  Its tables are
+built once per search: per p, the sorted residues k mod p it kills; and
+the shifts at which a form equals a sieve prime, which it must keep.
+Blocks of shifts are generated lazily and scanned in order by one loop.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, islice
 
 from .conditions import InadmissibleFamily, full_admissibility
 from .construction import AnchorScheme, coefficient_range
@@ -69,41 +76,35 @@ def verify_witness(family: SolutionFamily, witness: TupleWitness, extra_rounds: 
 
 def _scan_block(
     forms: list[tuple[int, int, int]],
-    k_lo: int,
-    k_hi: int,
     r_min: int,
-    sieve_primes_list: list[int],
     extra_rounds: int,
-) -> list[tuple[int, dict[int, int]]]:
-    """Witnesses with k in [k_lo, k_hi), found via pre-sieve + direct test."""
-    size = k_hi - k_lo
-    alive = bytearray([1]) * size
-    rescue: set[int] = set()
-    for p in sieve_primes_list:
-        for s, xb, st in forms:
-            if st % p == 0:
-                if xb % p != 0:
-                    continue
-                # p divides the whole progression: only x = p can be prime
-                if (p - xb) % st == 0:
-                    rescue.add((p - xb) // st)
-                alive[:] = bytearray(size)
-                continue
-            # shifts with x = 0 (mod p); the one with x = p exactly is rescued
-            bad = (-xb * pow(st, -1, p)) % p
-            if (p - xb) % st == 0:
-                rescue.add((p - xb) // st)
-            first = k_lo + (bad - k_lo) % p
-            if first < k_hi:
-                alive[first - k_lo :: p] = bytearray(len(range(first, k_hi, p)))
-    candidates = {k_lo + i for i, a in enumerate(alive) if a}
-    candidates.update(k for k in rescue if k_lo <= k < k_hi)
+    sieve: array,
+    kept: list[int],
+    block: range,
+) -> list[TupleWitness]:
+    """Witnesses with k in block, found via pre-sieve + direct test."""
+    k_lo, size = block.start, len(block)
+    alive = bytearray(b"\x01") * size
+    zeros = memoryview(bytes(size))
+    for p, r in zip(sieve[::2], sieve[1::2]):
+        i = (r - k_lo) % p
+        alive[i::p] = zeros[: len(range(i, size, p))]
+    for k in kept[bisect_left(kept, k_lo) : bisect_left(kept, block.stop)]:
+        alive[k - k_lo] = 1
     found = []
-    for k in sorted(candidates):
+    for k in compress(block, alive):
         values = {s: xb + st * k for s, xb, st in forms}
         if all(x > r_min and is_prime(x, extra_rounds=extra_rounds) for x in values.values()):
-            found.append((k, values))
+            found.append(TupleWitness(k=k, values=values, r_min=r_min))
     return found
+
+
+def _in_order(pool: ProcessPoolExecutor, fn, items, depth: int):
+    """fn over items on the pool, yielded in order, at most depth in flight."""
+    pending = deque(pool.submit(fn, item) for item in islice(items, depth))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(fn, item) for item in islice(items, 1))
 
 
 def search_tuples(
@@ -112,7 +113,6 @@ def search_tuples(
     k_count: int,
     r_min: int = 0,
     max_witnesses: int | None = None,
-    sieve_bound: int = DEFAULT_SIEVE_BOUND,
     use_sieve: bool = True,
     extra_rounds: int = 0,
     workers: int = 1,
@@ -120,46 +120,44 @@ def search_tuples(
 ) -> list[TupleWitness]:
     """All-prime tuples with k in [k_start, k_start + k_count), ascending.
 
-    Deterministic for fixed arguments regardless of worker count: blocks
-    partition the range contiguously and results merge in block order.
+    The sieve tables are built once per search.  Blocks of block_size
+    shifts are generated lazily and scanned in order: serially, or on a
+    pool of workers with two blocks per worker in flight.  No block is
+    submitted once max_witnesses are found, and queued ones are
+    cancelled, so any window starts at once and runs in bounded memory.
+    Output is deterministic for fixed arguments regardless of worker
+    count, and every witness is re-verified before it is returned.
     """
     report = full_admissibility(family)
     if not report.overall:
         raise InadmissibleFamily(report.failing_primes()[0])
-    if sieve_bound < 2:
-        raise ValueError("sieve_bound must be >= 2")
     forms = [(s, family.bases[s], family.steps[s]) for s in family.indices()]
-    primes = sieve_primes(sieve_bound) if use_sieve else []
-    blocks = [
-        (k0, min(k0 + block_size, k_start + k_count))
-        for k0 in range(k_start, k_start + k_count, block_size)
-    ]
+    primes = sieve_primes(DEFAULT_SIEVE_BOUND) if use_sieve else []
+    sieve = array("l")  # flat (p, r) pairs: some form is 0 mod p when k = r (mod p)
+    # A form whose step p divides is constant mod p, a unit by admissibility.
+    for p in primes:
+        for r in sorted({-xb * pow(st, -1, p) % p for _, xb, st in forms if st % p}):
+            sieve.extend((p, r))
+    kept = sorted({(p - xb) // st for p in primes for _, xb, st in forms if (p - xb) % st == 0})
+    scan = partial(_scan_block, forms, r_min, extra_rounds, sieve, kept)
+    k_stop = k_start + k_count
+    blocks = (range(k0, min(k0 + block_size, k_stop)) for k0 in range(k_start, k_stop, block_size))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    results = map(scan, blocks) if pool is None else _in_order(pool, scan, blocks, 2 * workers)
     witnesses: list[TupleWitness] = []
-
-    def take(found) -> bool:
-        for k, values in found:
-            witnesses.append(TupleWitness(k=k, values=values, r_min=r_min))
+    try:
+        for found in results:
+            witnesses.extend(found)
             if max_witnesses is not None and len(witnesses) >= max_witnesses:
-                return True
-        return False
-
-    if workers <= 1:
-        for k0, k1 in blocks:
-            if take(_scan_block(forms, k0, k1, r_min, primes, extra_rounds)):
+                del witnesses[max_witnesses:]
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_block, forms, k0, k1, r_min, primes, extra_rounds)
-                for k0, k1 in blocks
-            ]
-            for fut in futures:
-                if take(fut.result()):
-                    break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     for w in witnesses:
         if not verify_witness(family, w, extra_rounds=extra_rounds):
             raise AssertionError(f"witness at k={w.k} failed re-verification")
-    return witnesses[:max_witnesses] if max_witnesses is not None else witnesses
+    return witnesses
 
 
 @dataclass(frozen=True)

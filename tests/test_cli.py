@@ -2,9 +2,19 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from anchorseq import family_from_json_dict, solution_tuple, solve_scheme
-from anchorseq.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from anchorseq.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    UsageError,
+    _parse_int,
+    main,
+)
+from anchorseq.construction import DefaultScheme
 from anchorseq.variants import SCHEMES
 
 
@@ -127,6 +137,11 @@ class TestSearch:
         )
         assert code == EXIT_OK
 
+    def test_huge_window_stops_early(self, capsys):
+        code, out, _ = run(capsys, "search", "--q", "1", "--k", "0..1e400", "--max-witnesses", "1")
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["summary"]["k_range"] == ["0", "1" + "0" * 400]
+
     def test_inadmissible_scheme_fails(self, capsys):
         code, _, err = run(capsys, "search", "--scheme", "no_prime", "--q", "2", "--k", "0..10")
         assert code == EXIT_CHECK_FAILED
@@ -184,3 +199,68 @@ def test_console_entry_point():
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+EXACT_INTS = {
+    "17": 17,
+    "-3": -3,
+    "1e6": 10**6,
+    "1e23": 10**23,
+    "12345678901234567e3": 12345678901234567000,
+    "1e400": 10**400,
+    "150e-1": 15,
+    "-2E3": -2000,
+}
+
+
+@pytest.mark.parametrize("text", list(EXACT_INTS))
+def test_parse_int_is_exact(text):
+    assert _parse_int(text) == EXACT_INTS[text]
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-1", "inf", "-inf", "nan", "x", "", "1e4300"])
+def test_parse_int_rejects(text):
+    with pytest.raises(UsageError):
+        _parse_int(text)
+
+
+class _Crashing(DefaultScheme):
+    scheme_id = "crashing"
+
+    def anchor(self, p, n):
+        raise RuntimeError("unexpected")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["search", "--q", "1", "--k", "0..10", "--workers", "-3"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--workers", "0"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--max-witnesses", "-1"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--max-witnesses", "0"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--sieve-bound", "100"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..1e5000"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..nan"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..2.5"], EXIT_USAGE),
+        (["galaxy", "--witness", '{"values":{}}'], EXIT_USAGE),
+        (["galaxy", "--witness", '{"k":"1","values":[]}'], EXIT_USAGE),
+        (["galaxy", "--witness", '{"k":null,"values":{"0":"23"}}'], EXIT_USAGE),
+        (["galaxy", "--witness", '{"k":"1","values":{"1":"11"}}'], EXIT_USAGE),
+        (["galaxy", "--witness", "not json"], EXIT_USAGE),
+        (["galaxy", "--witness-file", "/nonexistent/witness.json"], EXIT_USAGE),
+        (["scheme-info", "--scheme", "crashing"], EXIT_INTERNAL),
+    ],
+)
+def test_exit_code_contract(capsys, monkeypatch, argv, code):
+    monkeypatch.setitem(SCHEMES, "crashing", _Crashing())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if not err.startswith("usage:"):  # argparse prints its usage line first
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_workers_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("ANCHORSEQ_WORKERS", "x")
+    code, out, _ = run(capsys, "table", "--range", "1..2")
+    assert code == EXIT_OK and out.split() == ["1", "2", "2", "3"]

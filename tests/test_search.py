@@ -62,10 +62,11 @@ class TestSearchTuples:
         assert got == expected
 
     def test_sieve_never_drops_a_witness(self):
-        for q in (1, 2):
+        # from -10_000 some forms are negative and blocks are offset from k = 0
+        for q, k_start in ((1, 0), (2, 0), (1, -10_000)):
             fam = solve_scheme(DEFAULT, q)
-            on = search_tuples(fam, 0, 20_000, use_sieve=True)
-            off = search_tuples(fam, 0, 20_000, use_sieve=False)
+            on = search_tuples(fam, k_start, 20_000, use_sieve=True)
+            off = search_tuples(fam, k_start, 20_000, use_sieve=False)
             assert [w.to_json_dict() for w in on] == [w.to_json_dict() for w in off]
 
     def test_r_min_is_strict(self):
@@ -85,10 +86,20 @@ class TestSearchTuples:
         assert len(witnesses) == 3
 
     def test_workers_deterministic(self):
-        fam = solve_scheme(DEFAULT, 2)
-        serial = search_tuples(fam, 0, 30_000, block_size=1 << 10)
-        parallel = search_tuples(fam, 0, 30_000, workers=4, block_size=1 << 10)
-        assert [w.to_json_dict() for w in serial] == [w.to_json_dict() for w in parallel]
+        for q, k_start in ((2, 0), (1, 12_345)):
+            fam = solve_scheme(DEFAULT, q)
+            serial = search_tuples(fam, k_start, 30_000, block_size=1 << 10)
+            parallel = search_tuples(fam, k_start, 30_000, workers=4, block_size=1 << 10)
+            assert [w.to_json_dict() for w in serial] == [w.to_json_dict() for w in parallel]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbounded_window_stops_early(self, workers):
+        # blocks are generated lazily and the search stops at max_witnesses,
+        # so a window of 1e30 shifts costs what its first witnesses cost
+        fam = solve_scheme(DEFAULT, 1)
+        first = search_tuples(fam, 0, 10**5)[:3]
+        got = search_tuples(fam, 0, 10**30, max_witnesses=3, workers=workers)
+        assert [w.to_json_dict() for w in got] == [w.to_json_dict() for w in first]
 
     def test_inadmissible_family_rejected(self):
         # the all-composite scheme keeps x_0 even, so the search is futile
