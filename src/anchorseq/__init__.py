@@ -12,6 +12,7 @@ from .conditions import (
     condition_C_sweep,
     condition_E_sweep,
     full_admissibility,
+    killed_residues,
     lemma1_solution,
 )
 from .construction import (

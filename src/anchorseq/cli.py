@@ -31,8 +31,8 @@ EXIT_INTERNAL = 3
 MAX_DIGITS = 4300  # Python's default limit on int <-> str conversion (3.11+)
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Bad input: exit 2.  argparse reports it from a type= parser too."""
 
 
 def _parse_int(text: str) -> int:
@@ -52,10 +52,13 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _positive_int(text: str) -> int:
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        if (value := _parse_int(text)) < minimum:
+            raise UsageError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -71,7 +74,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _out(args):
     if args.output and args.output != "-":
-        return open(args.output, "w")
+        try:
+            return open(args.output, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -247,24 +253,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check condition C, E, or D")
     p.add_argument("condition", choices=["C", "E", "D"])
     p.add_argument("--scheme", default="default", choices=sorted(SCHEMES))
-    p.add_argument("--range", type=int, default=None, help="index bound for C/E sweeps")
-    p.add_argument("--q", type=int, default=None, help="range bound for D")
+    p.add_argument("--range", type=_parse_int, default=None, help="index bound for C/E sweeps")
+    p.add_argument("--q", type=_parse_int, default=None, help="range bound for D")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="solve the congruence system for range q")
     add_common(p)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("search", help="search shifts k for all-prime tuples")
     add_common(p, ("jsonl",))
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--k", required=True, help="inclusive shift range lo..hi (1e6 ok)")
-    p.add_argument("--rmin", type=int, default=0, help="strict lower bound on entries")
-    p.add_argument("--max-witnesses", type=_positive_int, default=None)
+    p.add_argument("--rmin", type=_parse_int, default=0, help="strict lower bound on entries")
+    p.add_argument("--max-witnesses", type=_int_at_least(1), default=None)
     p.add_argument("--no-sieve", action="store_true")
-    p.add_argument("--extra-rounds", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--extra-rounds", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("galaxy", help="factored galaxy report around a witness")

@@ -10,6 +10,7 @@ every prime p some shift k keeps the whole solution tuple coprime to p
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from math import gcd, isqrt
 
 from .construction import AnchorScheme, SchemeError, coefficient, coefficient_range, np_exponent
@@ -115,22 +116,21 @@ def lemma1_solution(scheme: AnchorScheme, q: int, p: int) -> dict[int, int]:
 
     Solves the enlarged system of range q + p^(n+1), n being the top
     multiplicity of p inside range q; any of its solutions restricts to a
-    p-free tuple on range q, and the k-scan just picks a concrete one
-    with the whole enlarged tuple p-free.
+    p-free tuple on range q, and check_admissibility picks the smallest
+    shift with the whole enlarged tuple p-free.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     n = max(np_exponent(scheme, p, s) for s in range(-q, q + 1))
     q_star = q + p ** (n + 1)
     family = solve_scheme(scheme, q_star)
-    for k in range(p):
-        tup = solution_tuple(family, k)
-        if all(x % p != 0 for x in tup.values()):
-            restricted = {s: x for s, x in tup.items() if abs(s) <= q}
-            if any(x % p == 0 for x in restricted.values()):
-                raise SchemeError(f"restriction has an entry divisible by {p}")
-            return restricted
-    raise SchemeError(f"no shift k < {p} gives a tuple coprime to {p} (q*={q_star})")
+    k = check_admissibility(family, p)
+    if k is None:
+        raise SchemeError(f"no shift k < {p} gives a tuple coprime to {p} (q*={q_star})")
+    restricted = {s: x for s, x in solution_tuple(family, k).items() if abs(s) <= q}
+    if any(x % p == 0 for x in restricted.values()):
+        raise SchemeError(f"restriction has an entry divisible by {p}")
+    return restricted
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,27 @@ class AdmissibilityReport:
         }
 
 
+def killed_residues(family: SolutionFamily, p: int) -> set[int]:
+    """The shifts k mod p at which p divides some entry x_s(k): all of
+    range(p) when an entry is constantly 0 mod p.  Read off x_0(k) through
+    a_s * x_s(k) = x_0(k) - s: with p not dividing a_s, p | x_s(k) exactly
+    where p | (base - s) + modulus * k.  Only the entries with p | a_s
+    reduce their own progression xbar_s + step_s * k.
+    """
+    b, m = family.base % p, family.modulus % p
+    forms = {  # (c, d): the entry is c + d * k mod p, up to a unit
+        ((b - s) % p, m) if a % p else (family.bases[s] % p, family.steps[s] % p)
+        for s, a in family.moduli.items()
+    }
+    if (0, 0) in forms:
+        return set(range(p))
+    inverse = {d: pow(d, -1, p) for d in {d for _, d in forms} - {0}}
+    return {-c * inverse[d] % p for c, d in forms if d}
+
+
 def check_admissibility(family: SolutionFamily, p: int) -> int | None:
-    """Smallest k in [0, p) with no tuple entry divisible by p, else None."""
-    for k in range(p):
-        if all(x % p != 0 for x in solution_tuple(family, k).values()):
-            return k
-    return None
+    """Smallest k in [0, p) that p does not kill (killed_residues), else None."""
+    return next(filterfalse(killed_residues(family, p).__contains__, range(p)), None)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -183,7 +198,8 @@ def full_admissibility(family: SolutionFamily) -> AdmissibilityReport:
     For p outside {p <= 2q+1} and the divisors of the global modulus,
     every non-constant form kills at most one shift mod p (fewer than p
     shifts in total), and constant forms are units mod p; so those p are
-    admissible automatically.
+    admissible automatically.  The checked primes' killed shifts come from
+    killed_residues.
     """
     bound_primes = set(sieve_primes(2 * family.q + 1))
     bound_primes.update(_prime_divisors(family.modulus))

@@ -4,8 +4,9 @@ Each index contributes a linear form x_s(k) = xbar_s + step_s * k; a
 witness is a shift k where every form is prime and exceeds the floor
 r_min.  A segmented residue sieve (Bays & Hudson, BIT 17, 1977) removes
 shifts where some form is divisible by a small prime p.  Its tables are
-built once per search: per p, the sorted residues k mod p it kills; and
-the shifts at which a form equals a sieve prime, which it must keep.
+built once per search: per p, the sorted residues k mod p it kills, as
+conditions.killed_residues reads them off x_0(k); and the shifts at
+which a form equals a sieve prime, which it must keep.
 Blocks of shifts are generated lazily and scanned in order by one loop.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
 
-from .conditions import InadmissibleFamily, full_admissibility
+from .conditions import InadmissibleFamily, full_admissibility, killed_residues
 from .construction import AnchorScheme, coefficient_range
 from .crt import SolutionFamily
 from .primality import is_prime, sieve_primes
@@ -134,9 +135,8 @@ def search_tuples(
     forms = [(s, family.bases[s], family.steps[s]) for s in family.indices()]
     primes = sieve_primes(DEFAULT_SIEVE_BOUND) if use_sieve else []
     sieve = array("l")  # flat (p, r) pairs: some form is 0 mod p when k = r (mod p)
-    # A form whose step p divides is constant mod p, a unit by admissibility.
     for p in primes:
-        for r in sorted({-xb * pow(st, -1, p) % p for _, xb, st in forms if st % p}):
+        for r in sorted(killed_residues(family, p)):
             sieve.extend((p, r))
     kept = sorted({(p - xb) // st for p in primes for _, xb, st in forms if (p - xb) % st == 0})
     scan = partial(_scan_block, forms, r_min, extra_rounds, sieve, kept)

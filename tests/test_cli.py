@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorseq import family_from_json_dict, solution_tuple, solve_scheme
 from anchorseq.cli import (
@@ -249,6 +253,22 @@ class _Crashing(DefaultScheme):
         (["galaxy", "--witness", "not json"], EXIT_USAGE),
         (["galaxy", "--witness-file", "/nonexistent/witness.json"], EXIT_USAGE),
         (["scheme-info", "--scheme", "crashing"], EXIT_INTERNAL),
+        (["table", "--range", "1..2", "-o", "/nonexistent/table.txt"], EXIT_USAGE),
+        (["solve", "--q", "1", "-o", "/nonexistent/solve.txt"], EXIT_USAGE),
+        (["verify", "C", "--range", "1e2"], EXIT_OK),
+        (["verify", "E", "--range", "2E1"], EXIT_OK),
+        (["verify", "D", "--q", "3e0"], EXIT_OK),
+        (["verify", "C", "--range", "1.5"], EXIT_USAGE),
+        (["verify", "D", "--q", "nan"], EXIT_USAGE),
+        (["solve", "--q", "x"], EXIT_USAGE),
+        (["search", "--q", "1e0", "--k", "0..10"], EXIT_OK),
+        (["search", "--q", "1", "--k", "0..10", "--rmin", "1e1", "--workers", "1e0"], EXIT_OK),
+        (["search", "--q", "1", "--k", "0..10", "--max-witnesses", "2e0"], EXIT_OK),
+        (["search", "--q", "1", "--k", "0..10", "--extra-rounds", "2e0"], EXIT_OK),
+        (["search", "--q", "1", "--k", "0..100", "--extra-rounds", "-5"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--extra-rounds", "0.5"], EXIT_USAGE),
+        (["search", "--q", "2.5", "--k", "0..10"], EXIT_USAGE),
+        (["search", "--q", "1", "--k", "0..10", "--rmin", "inf"], EXIT_USAGE),
     ],
 )
 def test_exit_code_contract(capsys, monkeypatch, argv, code):
@@ -256,8 +276,106 @@ def test_exit_code_contract(capsys, monkeypatch, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if not err.startswith("usage:"):  # argparse prints its usage line first
+    if code == EXIT_OK:
+        assert err == ""
+    elif not err.startswith("usage:"):  # argparse prints its usage line first
         assert len(err.strip().splitlines()) == 1
+
+
+# Argv fuzzing.  Every number is small and every window short: `table` and
+# `verify` allocate one row per index, so a huge range would only test memory.
+# Values are valid three times in four, so many runs get past argparse.
+SMALL_INTS = st.integers(-60, 60).map(str)
+JUNK = st.sampled_from(["x", "1.5", "nan", "", "--bogus", "1e1", "-0", "..", "3..", "..3"])
+
+
+def _mostly(valid):
+    return st.one_of(valid, valid, valid, JUNK)
+
+
+NUMBER = _mostly(SMALL_INTS)
+SCHEME = _mostly(st.sampled_from(["default", "no_prime", "euler_prime"]))
+FORMAT = st.sampled_from(["text", "json", "tsv", "jsonl", "xml"])
+WITNESS = st.sampled_from(
+    [
+        '{"k": "1", "values": {"-1": "2", "0": "23", "1": "11"}}',
+        '{"k": "1", "values": {"-1": "2", "0": "29", "1": "11"}}',
+        '{"k": "1", "values": {"0": "23"}}',
+        '{"values": []}',
+        "[]",
+        "{",
+        "",
+    ]
+)
+
+
+def _window(max_width):
+    return st.builds(
+        lambda lo, width: f"{lo}..{lo + width}", st.integers(-60, 60), st.integers(-3, max_width)
+    )
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _usually(flag, values):
+    return st.one_of(values.map(lambda v: [flag, v]), _opt(flag, values))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [token for part in ps for token in part])
+
+
+OUTPUT = _opt("-o", st.sampled_from(["-", "/nonexistent/out.txt"]))  # never a real file
+ARGV = st.one_of(
+    _command(
+        "table", _opt("--scheme", SCHEME), _opt("--format", FORMAT),
+        _usually("--range", _mostly(_window(200))), OUTPUT,
+    ),
+    _command(
+        "verify", st.sampled_from([["C"], ["E"], ["D"], ["F"], []]), _opt("--scheme", SCHEME),
+        _opt("--range", NUMBER), _usually("--q", NUMBER),
+    ),
+    _command(
+        "solve", _opt("--scheme", SCHEME), _opt("--format", FORMAT), _usually("--q", NUMBER),
+        OUTPUT,
+    ),
+    _command(
+        "search", _opt("--scheme", SCHEME), _usually("--q", _mostly(st.integers(1, 8).map(str))),
+        _usually("--k", _mostly(_window(1000))), _opt("--rmin", NUMBER),
+        _opt("--max-witnesses", _mostly(st.integers(0, 5).map(str))),
+        _opt("--extra-rounds", _mostly(st.integers(-1, 3).map(str))),
+        _opt("--workers", _mostly(st.sampled_from(["0", "1", "2"]))),
+        st.sampled_from([[], ["--no-sieve"]]), OUTPUT,
+    ),
+    _command(
+        "galaxy", _opt("--scheme", SCHEME), _opt("--format", FORMAT),
+        _usually("--witness", _mostly(WITNESS)),
+        _opt("--witness-file", st.sampled_from(["/nonexistent/w.json", ""])),
+    ),
+    _command("scheme-info", _opt("--scheme", SCHEME)),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["table", "verify", "search", "C", "--q", "--k", "--range", "-h"]),
+            SMALL_INTS,
+            JUNK,
+        ),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ARGV)
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INTERNAL)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code != EXIT_OK and not err.getvalue().startswith("usage:"):
+        assert len(err.getvalue().splitlines()) <= 1
 
 
 def test_workers_environment_variable_is_ignored(capsys, monkeypatch):

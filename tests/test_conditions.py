@@ -14,8 +14,11 @@ from anchorseq import (
     condition_E_sweep,
     full_admissibility,
     get_scheme,
+    killed_residues,
     lemma1_solution,
     np_exponent,
+    sieve_primes,
+    solution_tuple,
     solve_scheme,
 )
 
@@ -132,6 +135,67 @@ def degenerate_family():
     return SolutionFamily(q=1, base=3, modulus=2, moduli={0: 1}, bases={0: 3}, steps={0: 2})
 
 
+def failing_family():
+    """Single form x_0(k) = 2k, even at every shift."""
+    return SolutionFamily(q=1, base=0, modulus=2, moduli={0: 1}, bases={0: 0}, steps={0: 2})
+
+
+def twin_prime_family():
+    """Forms x_0(k) = 3 + 2k and x_{-2}(k) = 5 + 2k."""
+    return SolutionFamily(
+        q=2, base=3, modulus=2, moduli={0: 1, -2: 1}, bases={0: 3, -2: 5}, steps={0: 2, -2: 2}
+    )
+
+
+def even_coefficient_family():
+    """Single form x_{-2}(k) = 2 + 2k with a_{-2} = 2: constant 0 mod 2 on its own."""
+    return SolutionFamily(q=2, base=2, modulus=4, moduli={-2: 2}, bases={-2: 2}, steps={-2: 2})
+
+
+def multiple_of_three_family():
+    """Forms x_0(k) = 2 + 3k and x_{-1}(k) = 3 + 3k, the second always divisible by 3."""
+    return SolutionFamily(
+        q=1, base=2, modulus=3, moduli={0: 1, -1: 1}, bases={0: 2, -1: 3}, steps={0: 3, -1: 3}
+    )
+
+
+def scanned_residues(family, p):
+    """Oracle: the per-shift scan over whole solution tuples."""
+    return {k for k in range(p) if any(x % p == 0 for x in solution_tuple(family, k).values())}
+
+
+class TestKilledResidues:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.scheme_id)
+    def test_agrees_with_per_shift_scan(self, scheme):
+        for q in range(1, 13):
+            fam = solve_scheme(scheme, q)
+            for p in sieve_primes(100):
+                scanned = scanned_residues(fam, p)
+                assert killed_residues(fam, p) == scanned, (q, p)
+                assert check_admissibility(fam, p) == min(set(range(p)) - scanned, default=None)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            degenerate_family,
+            failing_family,
+            twin_prime_family,
+            even_coefficient_family,
+            multiple_of_three_family,
+        ],
+    )
+    def test_hand_built_families(self, family):
+        fam = family()
+        for p in sieve_primes(100):
+            assert killed_residues(fam, p) == scanned_residues(fam, p), p
+
+    def test_constant_zero_form_kills_every_shift(self):
+        assert killed_residues(failing_family(), 2) == {0, 1}
+        assert killed_residues(even_coefficient_family(), 2) == {0, 1}
+        assert killed_residues(multiple_of_three_family(), 3) == {0, 1, 2}
+        assert killed_residues(twin_prime_family(), 3) == {0, 2}
+
+
 class TestAdmissibility:
     def test_example_q1(self):
         fam = solve_scheme(DEFAULT, 1)
@@ -162,9 +226,7 @@ class TestAdmissibility:
         assert [p for p, _ in report.checked] == [2, 3, 5, 7]
 
     def test_failing_family_reports_prime(self):
-        # every shift leaves x_0 even
-        fam = SolutionFamily(q=1, base=0, modulus=2, moduli={0: 1}, bases={0: 0}, steps={0: 2})
-        report = full_admissibility(fam)
+        report = full_admissibility(failing_family())
         assert not report.overall
         assert report.failing_primes() == [2]
 
