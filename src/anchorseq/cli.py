@@ -139,11 +139,8 @@ def cmd_solve(args) -> int:
             fh.write("\n")
         else:
             fh.write(f"q = {family.q}\nbase = {family.base}\nmodulus = {family.modulus}\n")
-            for s in family.indices():
-                fh.write(
-                    f"s={s:>3}  a={family.moduli[s]}  xbar={family.bases[s]}"
-                    f"  step={family.steps[s]}\n"
-                )
+            for s, xbar, step in family.progressions():
+                fh.write(f"s={s:>3}  a={family.moduli[s]}  xbar={xbar}  step={step}\n")
     return EXIT_OK
 
 
@@ -151,17 +148,17 @@ def cmd_search(args) -> int:
     scheme = get_scheme(args.scheme)
     family = solve_scheme(scheme, args.q)
     k_lo, k_hi = _parse_range(args.k)
-    witnesses = search_tuples(
-        family,
-        k_start=k_lo,
-        k_count=k_hi - k_lo + 1,
-        r_min=args.rmin,
-        max_witnesses=args.max_witnesses,
-        use_sieve=not args.no_sieve,
-        extra_rounds=args.extra_rounds,
-        workers=args.workers,
-    )
     with _out(args) as fh:
+        witnesses = search_tuples(
+            family,
+            k_start=k_lo,
+            k_count=k_hi - k_lo + 1,
+            r_min=args.rmin,
+            max_witnesses=args.max_witnesses,
+            use_sieve=not args.no_sieve,
+            extra_rounds=args.extra_rounds,
+            workers=args.workers,
+        )
         for w in witnesses:
             fh.write(json.dumps(w.to_json_dict(), sort_keys=True) + "\n")
         summary = {

@@ -160,11 +160,13 @@ def killed_residues(family: SolutionFamily, p: int) -> set[int]:
     range(p) when an entry is constantly 0 mod p.  Read off x_0(k) through
     a_s * x_s(k) = x_0(k) - s: with p not dividing a_s, p | x_s(k) exactly
     where p | (base - s) + modulus * k.  Only the entries with p | a_s
-    reduce their own progression xbar_s + step_s * k.
+    reduce their own progression (base - s)/a_s + (modulus/a_s) * k: as
+    a_s divides both, each term mod p is its residue mod a_s * p over a_s.
     """
-    b, m = family.base % p, family.modulus % p
+    base, modulus = family.base, family.modulus
+    b, m = base % p, modulus % p
     forms = {  # (c, d): the entry is c + d * k mod p, up to a unit
-        ((b - s) % p, m) if a % p else (family.bases[s] % p, family.steps[s] % p)
+        ((b - s) % p, m) if a % p else ((base - s) % (a * p) // a, modulus % (a * p) // a)
         for s, a in family.moduli.items()
     }
     if (0, 0) in forms:
@@ -187,7 +189,7 @@ def _prime_divisors(n: int) -> list[int]:
                 n //= p
     if n > 1:
         if not is_prime(n):
-            raise ValueError(f"cofactor {n} is not prime; modulus too hard to factor")
+            raise ArithmeticError(f"{n.bit_length()}-bit cofactor of the modulus is not prime")
         divisors.append(n)
     return divisors
 

@@ -4,7 +4,9 @@ The moduli are not pairwise coprime, so the solver merges congruences
 pairwise with the extended-gcd generalization of the Chinese Remainder
 Theorem: x = r1 (mod m1) and x = r2 (mod m2) are simultaneously solvable
 iff gcd(m1, m2) | r2 - r1, in which case the solutions form one class
-mod lcm(m1, m2).
+mod lcm(m1, m2).  That class, base mod modulus, is the whole family: a_s
+divides both modulus and base - s, so each entry x_s(k) = (x_0(k) - s)/a_s
+of the k-th solution x_0(k) = base + modulus * k is derived, not stored.
 """
 
 from __future__ import annotations
@@ -48,21 +50,24 @@ class CongruenceSystem:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """All solutions of the system, as arithmetic progressions.
+    """All solutions x_0(k) = base + modulus * k of the system.
 
-    x_s(k) = bases[s] + steps[s] * k, with steps[s] * a_s = modulus and
-    a_s * bases[s] - base = -s for every index s.
+    Invariant: a_s divides both modulus and base - s for every index s,
+    so each entry is the progression x_s(k) = (x_0(k) - s) / a_s.
     """
 
     q: int
     base: int
     modulus: int
     moduli: dict[int, int]  # s -> a_s
-    bases: dict[int, int]  # s -> xbar_s
-    steps: dict[int, int]  # s -> modulus // a_s
 
     def indices(self) -> list[int]:
         return sorted(self.moduli)
+
+    def progressions(self) -> list[tuple[int, int, int]]:
+        """(s, xbar_s, step_s) in ascending s: x_s(k) = xbar_s + step_s * k."""
+        base, modulus = self.base, self.modulus
+        return [(s, (base - s) // a, modulus // a) for s, a in sorted(self.moduli.items())]
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,13 +75,8 @@ class SolutionFamily:
             "base": str(self.base),
             "modulus": str(self.modulus),
             "entries": [
-                {
-                    "s": s,
-                    "a": str(self.moduli[s]),
-                    "xbar": str(self.bases[s]),
-                    "step": str(self.steps[s]),
-                }
-                for s in self.indices()
+                {"s": s, "a": str(self.moduli[s]), "xbar": str(xbar), "step": str(step)}
+                for s, xbar, step in self.progressions()
             ],
         }
 
@@ -129,13 +129,10 @@ def solve_system(system: CongruenceSystem) -> SolutionFamily:
         merged_at.append(s)
     moduli = {0: 1}
     moduli.update({s: m for s, m, _ in entries})
-    bases, steps = {}, {}
     for s, a in moduli.items():
         if (base - s) % a != 0:
             raise Incompatible(modulus, base, a, s % a, label=f"s={s}")
-        bases[s] = (base - s) // a
-        steps[s] = modulus // a
-    return SolutionFamily(system.q, base, modulus, moduli, bases, steps)
+    return SolutionFamily(system.q, base, modulus, moduli)
 
 
 def solve_scheme(scheme: AnchorScheme, q: int) -> SolutionFamily:
@@ -143,22 +140,19 @@ def solve_scheme(scheme: AnchorScheme, q: int) -> SolutionFamily:
 
 
 def solution_tuple(family: SolutionFamily, k: int) -> dict[int, int]:
-    """The k-th solution tuple x_s(k) = xbar_s + step_s * k."""
-    return {s: family.bases[s] + family.steps[s] * k for s in family.indices()}
+    """The k-th solution tuple x_s(k) = (x_0(k) - s) / a_s."""
+    x0 = family.base + family.modulus * k
+    return {s: (x0 - s) // a for s, a in sorted(family.moduli.items())}
 
 
 def family_from_json_dict(data: dict) -> SolutionFamily:
-    moduli, bases, steps = {}, {}, {}
+    """Read q, base, modulus and each a_s >= 1; each entry's xbar and step
+    must be the ones they imply (a * xbar == base - s, a * step == modulus)."""
+    base, modulus = int(data["base"]), int(data["modulus"])
+    moduli = {}
     for entry in data["entries"]:
-        s = int(entry["s"])
-        moduli[s] = int(entry["a"])
-        bases[s] = int(entry["xbar"])
-        steps[s] = int(entry["step"])
-    return SolutionFamily(
-        q=int(data["q"]),
-        base=int(data["base"]),
-        modulus=int(data["modulus"]),
-        moduli=moduli,
-        bases=bases,
-        steps=steps,
-    )
+        s, a = int(entry["s"]), int(entry["a"])
+        if a < 1 or a * int(entry["xbar"]) != base - s or a * int(entry["step"]) != modulus:
+            raise ValueError(f"entry s={s} does not match base and modulus")
+        moduli[s] = a
+    return SolutionFamily(q=int(data["q"]), base=base, modulus=modulus, moduli=moduli)

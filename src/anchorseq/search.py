@@ -117,22 +117,22 @@ def search_tuples(
     use_sieve: bool = True,
     extra_rounds: int = 0,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[TupleWitness]:
     """All-prime tuples with k in [k_start, k_start + k_count), ascending.
 
-    The sieve tables are built once per search.  Blocks of block_size
-    shifts are generated lazily and scanned in order: serially, or on a
-    pool of workers with two blocks per worker in flight.  No block is
-    submitted once max_witnesses are found, and queued ones are
-    cancelled, so any window starts at once and runs in bounded memory.
+    The sieve tables are built once per search.  Blocks of
+    DEFAULT_BLOCK_SIZE shifts are generated lazily and scanned in order:
+    serially, or on a pool of workers with two blocks per worker in
+    flight.  No block is submitted once max_witnesses are found, and
+    queued ones are cancelled, so any window starts at once and runs in
+    bounded memory.
     Output is deterministic for fixed arguments regardless of worker
     count, and every witness is re-verified before it is returned.
     """
     report = full_admissibility(family)
     if not report.overall:
         raise InadmissibleFamily(report.failing_primes()[0])
-    forms = [(s, family.bases[s], family.steps[s]) for s in family.indices()]
+    forms = family.progressions()
     primes = sieve_primes(DEFAULT_SIEVE_BOUND) if use_sieve else []
     sieve = array("l")  # flat (p, r) pairs: some form is 0 mod p when k = r (mod p)
     for p in primes:
@@ -140,8 +140,8 @@ def search_tuples(
             sieve.extend((p, r))
     kept = sorted({(p - xb) // st for p in primes for _, xb, st in forms if (p - xb) % st == 0})
     scan = partial(_scan_block, forms, r_min, extra_rounds, sieve, kept)
-    k_stop = k_start + k_count
-    blocks = (range(k0, min(k0 + block_size, k_stop)) for k0 in range(k_start, k_stop, block_size))
+    k_stop, size = k_start + k_count, DEFAULT_BLOCK_SIZE
+    blocks = (range(k0, min(k0 + size, k_stop)) for k0 in range(k_start, k_stop, size))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results = map(scan, blocks) if pool is None else _in_order(pool, scan, blocks, 2 * workers)
     witnesses: list[TupleWitness] = []

@@ -146,6 +146,15 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[-1])["summary"]["k_range"] == ["0", "1" + "0" * 400]
 
+    def test_unwritable_output_fails_before_search(self, capsys, monkeypatch):
+        def searched(*args, **kwargs):
+            raise RuntimeError("searched before opening -o")
+
+        monkeypatch.setattr("anchorseq.cli.search_tuples", searched)
+        code, _, err = run(capsys, "search", "--q", "1", "--k", "0..10", "-o", "/nonexistent/x")
+        assert code == EXIT_USAGE
+        assert "cannot write /nonexistent/x" in err
+
     def test_inadmissible_scheme_fails(self, capsys):
         code, _, err = run(capsys, "search", "--scheme", "no_prime", "--q", "2", "--k", "0..10")
         assert code == EXIT_CHECK_FAILED

@@ -132,31 +132,27 @@ class TestCoprimeTuples:
 
 def degenerate_family():
     """Single constant-free form x_0(k) = 3 + 2k."""
-    return SolutionFamily(q=1, base=3, modulus=2, moduli={0: 1}, bases={0: 3}, steps={0: 2})
+    return SolutionFamily(q=1, base=3, modulus=2, moduli={0: 1})
 
 
 def failing_family():
     """Single form x_0(k) = 2k, even at every shift."""
-    return SolutionFamily(q=1, base=0, modulus=2, moduli={0: 1}, bases={0: 0}, steps={0: 2})
+    return SolutionFamily(q=1, base=0, modulus=2, moduli={0: 1})
 
 
 def twin_prime_family():
     """Forms x_0(k) = 3 + 2k and x_{-2}(k) = 5 + 2k."""
-    return SolutionFamily(
-        q=2, base=3, modulus=2, moduli={0: 1, -2: 1}, bases={0: 3, -2: 5}, steps={0: 2, -2: 2}
-    )
+    return SolutionFamily(q=2, base=3, modulus=2, moduli={0: 1, -2: 1})
 
 
 def even_coefficient_family():
     """Single form x_{-2}(k) = 2 + 2k with a_{-2} = 2: constant 0 mod 2 on its own."""
-    return SolutionFamily(q=2, base=2, modulus=4, moduli={-2: 2}, bases={-2: 2}, steps={-2: 2})
+    return SolutionFamily(q=2, base=2, modulus=4, moduli={-2: 2})
 
 
 def multiple_of_three_family():
     """Forms x_0(k) = 2 + 3k and x_{-1}(k) = 3 + 3k, the second always divisible by 3."""
-    return SolutionFamily(
-        q=1, base=2, modulus=3, moduli={0: 1, -1: 1}, bases={0: 2, -1: 3}, steps={0: 3, -1: 3}
-    )
+    return SolutionFamily(q=1, base=2, modulus=3, moduli={0: 1, -1: 1})
 
 
 def scanned_residues(family, p):
@@ -210,7 +206,7 @@ class TestAdmissibility:
             k = check_admissibility(fam, p)
             assert k is not None
             for j in range(k):
-                tup = {s: fam.bases[s] + fam.steps[s] * j for s in fam.indices()}
+                tup = {s: (fam.base + fam.modulus * j - s) // a for s, a in fam.moduli.items()}
                 assert any(x % p == 0 for x in tup.values())
 
     def test_degenerate_family(self):
@@ -229,6 +225,12 @@ class TestAdmissibility:
         report = full_admissibility(failing_family())
         assert not report.overall
         assert report.failing_primes() == [2]
+
+    def test_unfactored_modulus_is_an_internal_limit(self):
+        # trial division stops at 1e5, leaving the composite 100003 * 100019
+        fam = SolutionFamily(q=1, base=1, modulus=100003 * 100019, moduli={0: 1})
+        with pytest.raises(ArithmeticError, match="34-bit cofactor"):
+            full_admissibility(fam)
 
     def test_no_prime_family_is_inadmissible(self):
         # the all-composite scheme forces x_0 even, so condition D fails at 2

@@ -108,8 +108,7 @@ class TestSolveSystem:
     def test_q1_family(self):
         fam = solve_scheme(DEFAULT, 1)
         assert (fam.base, fam.modulus) == (11, 12)
-        assert fam.bases == {-1: 1, 0: 11, 1: 5}
-        assert fam.steps == {-1: 1, 0: 12, 1: 6}
+        assert fam.progressions() == [(-1, 1, 1), (0, 11, 12), (1, 5, 6)]
 
     def test_q2_brute_oracle(self):
         system = build_system(DEFAULT, 2)
@@ -145,9 +144,10 @@ class TestSolveSystem:
         for q in (1, 2, 3, 5):
             fam = solve_scheme(DEFAULT, q)
             assert fam.modulus == lcm(*fam.moduli.values())
-            for s in fam.indices():
-                assert fam.steps[s] * fam.moduli[s] == fam.modulus
-                assert fam.moduli[s] * fam.bases[s] - fam.base == -s
+            assert [s for s, _, _ in fam.progressions()] == fam.indices()
+            for s, xbar, step in fam.progressions():
+                assert step * fam.moduli[s] == fam.modulus
+                assert fam.moduli[s] * xbar - fam.base == -s
 
 
 class TestSolutionTuple:
@@ -155,7 +155,7 @@ class TestSolutionTuple:
         fam = solve_scheme(DEFAULT, 1)
         assert solution_tuple(fam, 1) == {-1: 2, 0: 23, 1: 11}
         assert solution_tuple(fam, 2) == {-1: 3, 0: 35, 1: 17}
-        assert solution_tuple(fam, 0) == fam.bases
+        assert solution_tuple(fam, 0) == {s: xbar for s, xbar, _ in fam.progressions()}
 
     def test_defining_equations_over_shifts(self):
         fam = solve_scheme(DEFAULT, 3)
@@ -171,3 +171,14 @@ def test_family_json_round_trip():
     again = family_from_json_dict(json.loads(blob))
     assert again == fam
     assert json.dumps(again.to_json_dict(), sort_keys=True) == blob
+    # an entry must be the progression its a >= 1 implies: a*xbar = base - s, a*step = modulus
+    bump, negate = (lambda v: str(int(v) + 1)), (lambda v: str(-int(v)))
+    everything = dict.fromkeys(("a", "xbar", "step"), negate)
+    tampers = ({"xbar": bump}, {"step": bump}, {"a": bump}, everything)
+    for index in (0, 2, -1):  # s = -2, 0 and 2
+        for tamper in tampers:
+            data = json.loads(blob)
+            entry = data["entries"][index]
+            entry.update({field: change(entry[field]) for field, change in tamper.items()})
+            with pytest.raises(ValueError):
+                family_from_json_dict(data)

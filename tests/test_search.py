@@ -85,11 +85,13 @@ class TestSearchTuples:
         witnesses = search_tuples(fam, 0, 10_000, max_witnesses=3)
         assert len(witnesses) == 3
 
-    def test_workers_deterministic(self):
+    def test_workers_deterministic(self, monkeypatch):
+        # small blocks, so each window spans 30 of them on 4 workers
+        monkeypatch.setattr("anchorseq.search.DEFAULT_BLOCK_SIZE", 1 << 10)
         for q, k_start in ((2, 0), (1, 12_345)):
             fam = solve_scheme(DEFAULT, q)
-            serial = search_tuples(fam, k_start, 30_000, block_size=1 << 10)
-            parallel = search_tuples(fam, k_start, 30_000, workers=4, block_size=1 << 10)
+            serial = search_tuples(fam, k_start, 30_000)
+            parallel = search_tuples(fam, k_start, 30_000, workers=4)
             assert [w.to_json_dict() for w in serial] == [w.to_json_dict() for w in parallel]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -116,14 +118,7 @@ class TestTwinPrimeDegeneration:
     def test_degenerate_family_finds_twin_primes(self):
         # forms x_0(k) = 3 + 2k and x_{-2}(k) = 5 + 2k: witnesses are
         # exactly the twin prime pairs (c, c + 2) with c odd
-        fam = SolutionFamily(
-            q=2,
-            base=3,
-            modulus=2,
-            moduli={0: 1, -2: 1},
-            bases={0: 3, -2: 5},
-            steps={0: 2, -2: 2},
-        )
+        fam = SolutionFamily(q=2, base=3, modulus=2, moduli={0: 1, -2: 1})
         found = {w.values[0] for w in search_tuples(fam, 0, (10_000 - 3) // 2)}
         primes = set(sieve_primes(10_010))
         expected = {c for c in primes if c + 2 in primes and 3 <= c < 10_000}
