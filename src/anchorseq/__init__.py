@@ -27,7 +27,6 @@ from .construction import (
     np_exponent,
 )
 from .crt import (
-    CongruenceSystem,
     Incompatible,
     SolutionFamily,
     build_system,

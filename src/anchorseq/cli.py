@@ -2,8 +2,8 @@
 
 Subcommands: table, verify {C|E|D}, solve, search, galaxy, scheme-info.
 Exit statuses: 0 success, 1 check failed, 2 usage error, 3 internal
-failure; no error prints a traceback.  Big integers render as decimal
-strings in JSON so no consumer loses precision.
+failure; no error prints a traceback.  Big integers print in full, as
+decimal strings in JSON, so no consumer loses precision.
 """
 
 from __future__ import annotations
@@ -72,13 +72,26 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@contextlib.contextmanager
 def _out(args):
+    """The -o file or stdout.  Python's int <-> str digit limit (3.11+) is
+    lifted while it is open, so integers print in full; input is read before."""
     if args.output and args.output != "-":
         try:
-            return open(args.output, "w")
+            stream = open(args.output, "w")
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
-    return contextlib.nullcontext(sys.stdout)
+    else:
+        stream = contextlib.nullcontext(sys.stdout)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with stream as fh:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            yield fh
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def cmd_table(args) -> int:

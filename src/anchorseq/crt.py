@@ -1,12 +1,12 @@
-"""The congruence system x = s (mod a_s) and its solution family.
+"""The congruence system x = s (mod a_s), |s| <= q, and its solution family.
 
-The moduli are not pairwise coprime, so the solver merges congruences
-pairwise with the extended-gcd generalization of the Chinese Remainder
-Theorem: x = r1 (mod m1) and x = r2 (mod m2) are simultaneously solvable
-iff gcd(m1, m2) | r2 - r1, in which case the solutions form one class
-mod lcm(m1, m2).  That class, base mod modulus, is the whole family: a_s
-divides both modulus and base - s, so each entry x_s(k) = (x_0(k) - s)/a_s
-of the k-th solution x_0(k) = base + modulus * k is derived, not stored.
+The system is its map s -> a_s (a_0 = 1).  The moduli are not coprime, so
+the solver merges congruences pairwise by the extended-gcd Chinese
+Remainder Theorem: x = r1 (mod m1) and x = r2 (mod m2) are solvable iff
+gcd(m1, m2) | r2 - r1, and the solutions form one class mod lcm(m1, m2).
+That class, base mod modulus, is the whole family: a_s divides both
+modulus and base - s, so each entry x_s(k) = (x_0(k) - s)/a_s of the k-th
+solution x_0(k) = base + modulus * k is derived, not stored.
 """
 
 from __future__ import annotations
@@ -18,34 +18,16 @@ from .construction import AnchorScheme, coefficient_range
 
 
 class Incompatible(Exception):
-    """A pair of congruences admits no common solution."""
+    """A pair of congruences admits no common solution.  The message gives
+    bit lengths: a class of the fold may be too long to print in decimal."""
 
     def __init__(self, m1, r1, m2, r2, label=""):
         self.pair = (m1, r1, m2, r2)
         detail = f" [{label}]" if label else ""
         super().__init__(
-            f"x = {r1} (mod {m1}) and x = {r2} (mod {m2}) share no solution{detail}"
+            f"congruences mod a {m1.bit_length()}-bit and a {m2.bit_length()}-bit"
+            f" modulus share no solution{detail}"
         )
-
-
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """Entries (s, modulus a_s, residue s mod a_s) for 0 < |s| <= q."""
-
-    q: int
-    entries: tuple[tuple[int, int, int], ...]  # (s, modulus, residue)
-
-    def __post_init__(self):
-        seen = set()
-        for s, m, r in self.entries:
-            if not 0 < abs(s) <= self.q:
-                raise ValueError(f"index {s} outside 0 < |s| <= {self.q}")
-            if m < 1 or not 0 <= r < m:
-                raise ValueError(f"bad modulus/residue ({m}, {r}) at s={s}")
-            seen.add(s)
-        expected = {s for s in range(-self.q, self.q + 1) if s != 0}
-        if seen != expected:
-            raise ValueError("system must cover each 0 < |s| <= q exactly once")
 
 
 @dataclass(frozen=True)
@@ -84,55 +66,52 @@ class SolutionFamily:
 def merge_congruences(m1: int, r1: int, m2: int, r2: int) -> tuple[int, int]:
     """Combine x = r1 (mod m1), x = r2 (mod m2) into one congruence.
 
-    Raises Incompatible when gcd(m1, m2) does not divide r2 - r1.
+    The lift t is reduced mod m2/g, so for small m2 a merge is linear in the
+    size of m1.  Raises Incompatible when gcd(m1, m2) does not divide r2 - r1.
     """
     if m1 < 1 or m2 < 1:
         raise ValueError("moduli must be >= 1")
     g = gcd(m1, m2)
     if (r2 - r1) % g != 0:
         raise Incompatible(m1, r1, m2, r2)
-    m = m1 // g * m2
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) if m2 // g > 1 else 0
+    n = m2 // g
+    t = (r2 - r1) // g * pow(m1 // g, -1, n) % n
+    m = m1 * n
     return m, (r1 + m1 * t) % m
 
 
-def build_system(scheme: AnchorScheme, q: int) -> CongruenceSystem:
-    """The system induced by the scheme's coefficients for 0 < |s| <= q."""
+def build_system(scheme: AnchorScheme, q: int) -> dict[int, int]:
+    """The moduli {s: a_s} for |s| <= q, with a_0 pinned to 1: x_0 is the
+    solution itself, whatever the scheme's own a_0 (no_prime's is > 1)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    by_s = coefficient_range(scheme, -q, q)
-    entries = tuple(
-        (s, by_s[s].value, s % by_s[s].value)
-        for s in range(-q, q + 1)
-        if s != 0
-    )
-    return CongruenceSystem(q, entries)
+    moduli = {s: f.value for s, f in coefficient_range(scheme, -q, q).items()}
+    moduli[0] = 1
+    return moduli
 
 
-def solve_system(system: CongruenceSystem) -> SolutionFamily:
-    """Fold the entries into a single class and unpack the progressions.
+def solve_system(moduli: dict[int, int]) -> SolutionFamily:
+    """Fold x = s (mod a_s) over the map {s: a_s} into a single class.
 
-    Incompatibility means the generating coefficients violate the pairwise
-    gcd-divisibility condition; for scheme-generated systems that is an
-    internal bug, and the error names the offending pair.
+    The keys must be exactly -q..q for some q >= 1.  Entries merge in
+    ascending (|s|, s).  Incompatibility means the moduli violate the
+    pairwise gcd-divisibility condition; for scheme-generated systems that
+    is an internal bug, and the error names the index that failed.
     """
-    entries = sorted(system.entries, key=lambda e: (abs(e[0]), e[0]))
+    q = max(map(abs, moduli), default=0)
+    if q < 1 or len(moduli) != 2 * q + 1 or moduli.keys() != set(range(-q, q + 1)):
+        raise ValueError("system must cover each |s| <= q exactly once, for some q >= 1")
     modulus, base = 1, 0
-    merged_at: list[int] = []
-    for s, m, r in entries:
+    for s in sorted(moduli, key=lambda s: (abs(s), s)):
+        a = moduli[s]
         try:
-            modulus, base = merge_congruences(modulus, base, m, r)
+            modulus, base = merge_congruences(modulus, base, a, s)
         except Incompatible:
-            raise Incompatible(
-                modulus, base, m, r, label=f"while merging s={s} after {merged_at}"
-            ) from None
-        merged_at.append(s)
-    moduli = {0: 1}
-    moduli.update({s: m for s, m, _ in entries})
+            raise Incompatible(modulus, base, a, s % a, label=f"s={s}") from None
     for s, a in moduli.items():
         if (base - s) % a != 0:
             raise Incompatible(modulus, base, a, s % a, label=f"s={s}")
-    return SolutionFamily(system.q, base, modulus, moduli)
+    return SolutionFamily(q, base, modulus, moduli)
 
 
 def solve_scheme(scheme: AnchorScheme, q: int) -> SolutionFamily:

@@ -214,10 +214,14 @@ def galaxy_report(scheme: AnchorScheme, witness: TupleWitness) -> GalaxyReport:
 
     The solver pins the s = 0 modulus to 1, but a scheme may give a_0 > 1
     (the all-composite galaxies do); rows therefore factor through the
-    scheme's own coefficients, which must divide omega - s exactly.
+    scheme's own coefficients, which must divide omega - s exactly.  The
+    indices must be exactly -q..q; that is checked first, as the work
+    grows with q and not with the size of the witness.
     """
     indices = sorted(witness.values)
     q = max(abs(s) for s in indices)
+    if len(indices) != 2 * q + 1 or indices != list(range(-q, q + 1)):
+        raise ValueError(f"witness indices are not exactly -{q}..{q}")
     coeffs = coefficient_range(scheme, -q, q)
     omega = witness.omega
     rows = []

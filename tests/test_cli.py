@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorseq import family_from_json_dict, solution_tuple, solve_scheme
+import anchorseq.cli
+from anchorseq import SolutionFamily, family_from_json_dict, solution_tuple, solve_scheme
 from anchorseq.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -121,6 +123,20 @@ class TestSolve:
         assert fam == direct
         assert solution_tuple(fam, 5) == solution_tuple(direct, 5)
         assert json.dumps(fam.to_json_dict()) == json.dumps(direct.to_json_dict())
+
+    def test_json_past_the_int_str_limit(self, capsys, monkeypatch):
+        # 5,000 digits: more than Python 3.11+ converts to str by default
+        modulus = 10**4999
+        family = SolutionFamily(q=1, base=modulus - 1, modulus=modulus, moduli={-1: 1, 0: 1, 1: 1})
+        monkeypatch.setattr(anchorseq.cli, "solve_scheme", lambda scheme, q: family)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "solve", "--q", "1", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        data = json.loads(out)
+        assert data["modulus"] == "1" + "0" * 4999
+        with anchorseq.cli._out(argparse.Namespace(output="-")):  # lifts the limit to read
+            assert family_from_json_dict(data) == family
 
 
 class TestSearch:
@@ -278,6 +294,13 @@ class _Crashing(DefaultScheme):
         (["search", "--q", "1", "--k", "0..10", "--extra-rounds", "0.5"], EXIT_USAGE),
         (["search", "--q", "2.5", "--k", "0..10"], EXIT_USAGE),
         (["search", "--q", "1", "--k", "0..10", "--rmin", "inf"], EXIT_USAGE),
+        pytest.param(
+            ["galaxy", "--witness", '{"k":"1","values":{"0":"%s"}}' % ("1" * 5000)],
+            EXIT_USAGE,
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="no int <-> str digit limit before 3.11"
+            ),
+        ),
     ],
 )
 def test_exit_code_contract(capsys, monkeypatch, argv, code):

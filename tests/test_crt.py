@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorseq import (
-    CongruenceSystem,
     Incompatible,
     build_system,
     family_from_json_dict,
     get_scheme,
+    is_prime,
     merge_congruences,
     solution_tuple,
     solve_scheme,
@@ -74,32 +74,47 @@ class TestMerge:
         (mb, rb) = merge_congruences(*congs[0], mb, rb)
         assert (ma, ra) == (mb, rb)
 
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 2**4000),
+        st.integers(1, 2**4000),
+        st.integers(1, 2**64),
+        st.integers(0, 2**4000),
+    )
+    def test_large_moduli(self, u, v, g, x):
+        # fold-sized operands sharing a factor g; x solves both congruences
+        m1, m2 = g * u, g * v
+        m, r = merge_congruences(m1, x % m1, m2, x % m2)
+        assert m == lcm(m1, m2)
+        assert r % m1 == x % m1 and r % m2 == x % m2
+        assert r == x % m
+
 
 class TestBuildSystem:
     def test_q1(self):
-        system = build_system(DEFAULT, 1)
-        assert set(system.entries) == {(-1, 12, 11), (1, 2, 1)}
+        assert build_system(DEFAULT, 1) == {-1: 12, 0: 1, 1: 2}
 
     def test_q2_adds_entries(self):
         system = build_system(DEFAULT, 2)
-        assert {(-2, 5, 3), (2, 3, 2)} <= set(system.entries)
+        assert system[-2] == 5 and system[2] == 3
 
     def test_no_prime_moduli_all_nontrivial(self):
         system = build_system(get_scheme("no_prime"), 1)
-        assert all(m > 1 for _, m, _ in system.entries)
+        assert system[0] == 1  # pinned; the scheme's own a_0 is > 1
+        assert all(a > 1 for s, a in system.items() if s != 0)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
-            CongruenceSystem(1, ((1, 2, 1),))  # missing s = -1
+            solve_system({0: 1, 1: 2})  # missing s = -1
         with pytest.raises(ValueError):
-            CongruenceSystem(1, ((-1, 12, 13), (1, 2, 1)))  # residue out of range
+            solve_system({0: 1})  # q = 0
 
 
 def brute_solve(system):
     """Oracle: least nonnegative solution by scanning one full period."""
-    period = lcm(*(m for _, m, _ in system.entries))
+    period = lcm(*system.values())
     for x in range(period):
-        if all(x % m == r for _, m, r in system.entries):
+        if all((x - s) % a == 0 for s, a in system.items()):
             return x, period
     return None
 
@@ -123,7 +138,7 @@ class TestSolveSystem:
             assert (fam.base, fam.modulus) == brute_solve(system), q
 
     def test_single_entry_system(self):
-        fam = solve_system(CongruenceSystem(1, ((1, 2, 1), (-1, 1, 0))))
+        fam = solve_system({-1: 1, 0: 1, 1: 2})
         assert fam.base == 1 and fam.modulus == 2
 
     def test_solution_set_completeness(self):
@@ -132,13 +147,25 @@ class TestSolveSystem:
             system = build_system(DEFAULT, q)
             fam = solve_system(system)
             for x in range(fam.modulus):
-                solves = all(x % m == r for _, m, r in system.entries)
+                solves = all((x - s) % a == 0 for s, a in system.items())
                 assert solves == (x % fam.modulus == fam.base)
 
     def test_incompatible_named_pair(self):
-        bad = CongruenceSystem(1, ((-1, 4, 1), (1, 6, 0)))
-        with pytest.raises(Incompatible):
-            solve_system(bad)
+        # s = -1 fixes x = 2 (mod 3), so s = 1 (x = 1 mod 3) fails
+        with pytest.raises(Incompatible, match=r"\[s=1\]") as info:
+            solve_system({-1: 3, 0: 1, 1: 3})
+        assert info.value.pair == (3, 2, 3, 1)
+
+    def test_incompatible_past_the_int_str_limit(self):
+        # 258 distinct 64-bit primes fold to a class of ~5,000 digits, more
+        # than Python 3.11+ converts to str; then s = -130 and 130 clash mod 3
+        primes = (p for p in range(2**63 + 1, 2**64, 2) if is_prime(p))
+        system = {s: next(primes) for t in range(1, 130) for s in (-t, t)}
+        system.update({0: 1, -130: 3, 130: 3})
+        with pytest.raises(Incompatible, match=r"\[s=130\]") as info:
+            solve_system(system)
+        assert info.value.pair[0].bit_length() > 16_000
+        assert info.value.pair[2:] == (3, 1)
 
     def test_family_invariants(self):
         for q in (1, 2, 3, 5):

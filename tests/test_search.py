@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import anchorseq.search
 from anchorseq import (
     InadmissibleFamily,
     SolutionFamily,
@@ -181,6 +182,15 @@ class TestGalaxyReport:
 
     def test_mismatched_witness_rejected(self):
         w = TupleWitness(k=0, values={-1: 1, 0: 24, 1: 11}, r_min=0)
+        with pytest.raises(ValueError):
+            galaxy_report(DEFAULT, w)
+
+    def test_sparse_indices_rejected_before_coefficients(self, monkeypatch):
+        def no_coefficients(*args):
+            raise AssertionError("coefficient_range called for a sparse witness")
+
+        monkeypatch.setattr(anchorseq.search, "coefficient_range", no_coefficients)
+        w = TupleWitness(k=0, values={0: 23, 2: 3}, r_min=0)
         with pytest.raises(ValueError):
             galaxy_report(DEFAULT, w)
 
