@@ -10,12 +10,12 @@ every prime p some shift k keeps the whole solution tuple coprime to p
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
-from math import gcd, isqrt
+from itertools import chain, count, filterfalse
+from math import gcd
 
 from .construction import AnchorScheme, SchemeError, coefficient, coefficient_range, np_exponent
 from .crt import SolutionFamily, solution_tuple, solve_scheme
-from .primality import is_prime, sieve_primes
+from .primality import sieve_primes
 
 
 class WitnessNotFound(Exception):
@@ -156,23 +156,27 @@ class AdmissibilityReport:
 
 
 def killed_residues(family: SolutionFamily, p: int) -> set[int]:
-    """The shifts k mod p at which p divides some entry x_s(k): all of
-    range(p) when an entry is constantly 0 mod p.  Read off x_0(k) through
-    a_s * x_s(k) = x_0(k) - s: with p not dividing a_s, p | x_s(k) exactly
-    where p | (base - s) + modulus * k.  Only the entries with p | a_s
-    reduce their own progression (base - s)/a_s + (modulus/a_s) * k: as
-    a_s divides both, each term mod p is its residue mod a_s * p over a_s.
+    """The shifts k mod p at which p divides some entry x_s(k), read off
+    a_s * x_s(k) = (base - s) + modulus * k (a_s divides both terms).
+
+    If p does not divide the modulus lcm(a_s), it divides no a_s and each
+    entry kills k = (s - base) / modulus mod p.  If it does, entries with
+    s != base (mod p) are nonzero constants mod p; the rest are reduced
+    term by term (mod a_s * p, over a_s), and one that is constantly 0
+    mod p kills all of range(p).
     """
-    base, modulus = family.base, family.modulus
-    b, m = base % p, modulus % p
+    base, modulus, q = family.base, family.modulus, family.q
+    if modulus % p:
+        inverse, b = pow(modulus, -1, p), base % p
+        return {(s - b) * inverse % p for s in family.moduli}
     forms = {  # (c, d): the entry is c + d * k mod p, up to a unit
-        ((b - s) % p, m) if a % p else ((base - s) % (a * p) // a, modulus % (a * p) // a)
-        for s, a in family.moduli.items()
+        ((base - s) % (a * p) // a, modulus % (a * p) // a)
+        for s in range(-q + (base + q) % p, q + 1, p)
+        if (a := family.moduli.get(s))
     }
     if (0, 0) in forms:
         return set(range(p))
-    inverse = {d: pow(d, -1, p) for d in {d for _, d in forms} - {0}}
-    return {-c * inverse[d] % p for c, d in forms if d}
+    return {-c * pow(d, -1, p) % p for c, d in forms if d}
 
 
 def check_admissibility(family: SolutionFamily, p: int) -> int | None:
@@ -180,30 +184,24 @@ def check_admissibility(family: SolutionFamily, p: int) -> int | None:
     return next(filterfalse(killed_residues(family, p).__contains__, range(p)), None)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    divisors = []
-    for p in sieve_primes(min(isqrt(abs(n)) + 1, 100_000)):
-        if n % p == 0:
-            divisors.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        if not is_prime(n):
-            raise ArithmeticError(f"{n.bit_length()}-bit cofactor of the modulus is not prime")
-        divisors.append(n)
-    return divisors
-
-
 def full_admissibility(family: SolutionFamily) -> AdmissibilityReport:
-    """Check admissibility over the only primes that can fail.
+    """Check admissibility at p <= 2q+1 and at the primes of the a_s,
+    found by trial division by those primes, then by odd d (what remains
+    once d * d exceeds it is 1 or prime).
 
-    For p outside {p <= 2q+1} and the divisors of the global modulus,
-    every non-constant form kills at most one shift mod p (fewer than p
-    shifts in total), and constant forms are units mod p; so those p are
-    admissible automatically.  The checked primes' killed shifts come from
-    killed_residues.
+    For a family with keys -q..q and modulus = lcm(a_s), as solve_system
+    returns, any other p divides no a_s nor the modulus, so each of the
+    2q+1 < p entries kills one shift: only the checked primes can fail.
     """
-    bound_primes = set(sieve_primes(2 * family.q + 1))
-    bound_primes.update(_prime_divisors(family.modulus))
-    checked = tuple((p, check_admissibility(family, p)) for p in sorted(bound_primes))
+    small = sieve_primes(2 * family.q + 1)
+    primes = set(small)
+    for n in set(family.moduli.values()):
+        for d in chain(small, count(small[-1] + 2, 2)):
+            if d * d > n:
+                break
+            while n % d == 0:
+                primes.add(d)
+                n //= d
+        primes.add(n)
+    checked = tuple((p, check_admissibility(family, p)) for p in sorted(primes - {1}))
     return AdmissibilityReport(family.q, checked)

@@ -12,7 +12,7 @@ solution x_0(k) = base + modulus * k is derived, not stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .construction import AnchorScheme, coefficient_range
 
@@ -34,8 +34,9 @@ class Incompatible(Exception):
 class SolutionFamily:
     """All solutions x_0(k) = base + modulus * k of the system.
 
-    Invariant: a_s divides both modulus and base - s for every index s,
-    so each entry is the progression x_s(k) = (x_0(k) - s) / a_s.
+    Invariant: keys -q..q, modulus = lcm(a_s), and a_s divides base - s
+    for every index s, so each entry is the progression
+    x_s(k) = (x_0(k) - s) / a_s.
     """
 
     q: int
@@ -126,12 +127,16 @@ def solution_tuple(family: SolutionFamily, k: int) -> dict[int, int]:
 
 def family_from_json_dict(data: dict) -> SolutionFamily:
     """Read q, base, modulus and each a_s >= 1; each entry's xbar and step
-    must be the ones they imply (a * xbar == base - s, a * step == modulus)."""
-    base, modulus = int(data["base"]), int(data["modulus"])
+    must be the ones they imply (a * xbar == base - s, a * step == modulus),
+    the entries must be s = -q..q for q >= 1 and the modulus lcm(a_s)."""
+    q, base, modulus = int(data["q"]), int(data["base"]), int(data["modulus"])
     moduli = {}
     for entry in data["entries"]:
         s, a = int(entry["s"]), int(entry["a"])
         if a < 1 or a * int(entry["xbar"]) != base - s or a * int(entry["step"]) != modulus:
             raise ValueError(f"entry s={s} does not match base and modulus")
         moduli[s] = a
-    return SolutionFamily(q=int(data["q"]), base=base, modulus=modulus, moduli=moduli)
+    spans = len(data["entries"]) == 2 * q + 1 and moduli.keys() == set(range(-q, q + 1))
+    if q < 1 or not spans or modulus != lcm(*moduli.values()):
+        raise ValueError(f"need q >= 1, entries s = -q..q once each, modulus = lcm(a_s) (q = {q})")
+    return SolutionFamily(q=q, base=base, modulus=modulus, moduli=moduli)

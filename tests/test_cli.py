@@ -127,7 +127,7 @@ class TestSolve:
     def test_json_past_the_int_str_limit(self, capsys, monkeypatch):
         # 5,000 digits: more than Python 3.11+ converts to str by default
         modulus = 10**4999
-        family = SolutionFamily(q=1, base=modulus - 1, modulus=modulus, moduli={-1: 1, 0: 1, 1: 1})
+        family = SolutionFamily(q=1, base=1, modulus=modulus, moduli={-1: 1, 0: 1, 1: modulus})
         monkeypatch.setattr(anchorseq.cli, "solve_scheme", lambda scheme, q: family)
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run(capsys, "solve", "--q", "1", "--format", "json")

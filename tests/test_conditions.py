@@ -20,6 +20,7 @@ from anchorseq import (
     sieve_primes,
     solution_tuple,
     solve_scheme,
+    solve_system,
 )
 
 DEFAULT = get_scheme("default")
@@ -160,6 +161,18 @@ def scanned_residues(family, p):
     return {k for k in range(p) if any(x % p == 0 for x in solution_tuple(family, k).values())}
 
 
+def entrywise_residues(family, p):
+    """Oracle: each progression xbar + step * k kills -xbar / step mod p,
+    or every k when both xbar and step are 0 mod p."""
+    killed = set()
+    for _, xbar, step in family.progressions():
+        if step % p:
+            killed.add(-xbar * pow(step, -1, p) % p)
+        elif xbar % p == 0:
+            return set(range(p))
+    return killed
+
+
 class TestKilledResidues:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.scheme_id)
     def test_agrees_with_per_shift_scan(self, scheme):
@@ -169,6 +182,16 @@ class TestKilledResidues:
                 scanned = scanned_residues(fam, p)
                 assert killed_residues(fam, p) == scanned, (q, p)
                 assert check_admissibility(fam, p) == min(set(range(p)) - scanned, default=None)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.scheme_id)
+    def test_agrees_with_each_progression_at_larger_q(self, scheme):
+        # every prime up to 200 past the last checked one, at q where most
+        # entries are constants mod each p dividing the modulus
+        for q in (40, 150):
+            fam = solve_scheme(scheme, q)
+            last = full_admissibility(fam).checked[-1][0]
+            for p in sieve_primes(last + 200):
+                assert killed_residues(fam, p) == entrywise_residues(fam, p), (q, p)
 
     @pytest.mark.parametrize(
         "family",
@@ -226,11 +249,25 @@ class TestAdmissibility:
         assert not report.overall
         assert report.failing_primes() == [2]
 
-    def test_unfactored_modulus_is_an_internal_limit(self):
-        # trial division stops at 1e5, leaving the composite 100003 * 100019
-        fam = SolutionFamily(q=1, base=1, modulus=100003 * 100019, moduli={0: 1})
-        with pytest.raises(ArithmeticError, match="34-bit cofactor"):
-            full_admissibility(fam)
+    def test_primes_of_a_large_coefficient_are_checked(self):
+        # both primes of a_-1 lie past 1e5 and neither is <= 2q+1
+        fam = solve_system({-1: 100003 * 100019, 0: 1, 1: 1})
+        report = full_admissibility(fam)
+        assert [p for p, _ in report.checked] == [2, 3, 100003, 100019]
+        assert report.failing_primes() == [2, 3]  # verify D names the first
+        for p, _ in report.checked:
+            assert killed_residues(fam, p) == scanned_residues(fam, p), p
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.scheme_id)
+    def test_checked_primes_are_small_or_divide_the_modulus(self, scheme):
+        # the list verify D prints: p <= 2q+1 and the primes of the modulus,
+        # each of which is at most prime_bound(q)
+        for q in range(1, 61):
+            fam = solve_scheme(scheme, q)
+            bound = scheme.prime_bound(q)
+            expected = set(sieve_primes(2 * q + 1))
+            expected.update(p for p in sieve_primes(bound) if fam.modulus % p == 0)
+            assert [p for p, _ in full_admissibility(fam).checked] == sorted(expected), q
 
     def test_no_prime_family_is_inadmissible(self):
         # the all-composite scheme forces x_0 even, so condition D fails at 2

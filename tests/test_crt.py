@@ -209,3 +209,23 @@ def test_family_json_round_trip():
             entry.update({field: change(entry[field]) for field, change in tamper.items()})
             with pytest.raises(ValueError):
                 family_from_json_dict(data)
+    # the entries are exactly s = -q..q and the modulus is lcm(a_s), each
+    # entry still matching base and modulus
+    def dropped(data):
+        del data["entries"][1]
+
+    def beyond_q(data):
+        s = data["q"] + 1
+        xbar = str(int(data["base"]) - s)
+        data["entries"].append({"s": s, "a": "1", "xbar": xbar, "step": data["modulus"]})
+
+    def doubled(data):
+        data["modulus"] = str(2 * int(data["modulus"]))
+        for entry in data["entries"]:
+            entry["step"] = str(2 * int(entry["step"]))
+
+    for tamper in (dropped, beyond_q, doubled):
+        data = json.loads(blob)
+        tamper(data)
+        with pytest.raises(ValueError, match="lcm"):
+            family_from_json_dict(data)
