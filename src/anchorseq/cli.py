@@ -20,7 +20,7 @@ from .conditions import (
     full_admissibility,
 )
 from .construction import SchemeError, coefficient_table
-from .crt import Incompatible, solve_scheme
+from .crt import Incompatible, solve_scheme, unlimited_int_digits
 from .search import galaxy_report, search_tuples, witness_from_json_dict
 from .variants import SCHEMES, get_scheme, qnr_anchor
 
@@ -83,15 +83,8 @@ def _out(args):
             raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         stream = contextlib.nullcontext(sys.stdout)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    with stream as fh:
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            yield fh
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+    with stream as fh, unlimited_int_digits():
+        yield fh
 
 
 def cmd_table(args) -> int:

@@ -11,6 +11,8 @@ solution x_0(k) = base + modulus * k is derived, not stored.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -125,10 +127,26 @@ def solution_tuple(family: SolutionFamily, k: int) -> dict[int, int]:
     return {s: (x0 - s) // a for s, a in sorted(family.moduli.items())}
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's int <-> str digit limit (3.11+) inside the block, so
+    big integers are written and read in full; the limit is restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@unlimited_int_digits()
 def family_from_json_dict(data: dict) -> SolutionFamily:
-    """Read q, base, modulus and each a_s >= 1; each entry's xbar and step
-    must be the ones they imply (a * xbar == base - s, a * step == modulus),
-    the entries must be s = -q..q for q >= 1 and the modulus lcm(a_s)."""
+    """Read q, base, modulus and each a_s >= 1, of any number of digits;
+    each entry's xbar and step must be the ones they imply (a * xbar ==
+    base - s, a * step == modulus), the entries must be s = -q..q for
+    q >= 1 and the modulus lcm(a_s)."""
     q, base, modulus = int(data["q"]), int(data["base"]), int(data["modulus"])
     moduli = {}
     for entry in data["entries"]:

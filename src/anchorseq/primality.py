@@ -1,6 +1,6 @@
 """Primality testing and small-prime generation.
 
-Exact (deterministic Miller-Rabin witness sets) below ~3.3e24; a
+Exact (deterministic Miller-Rabin witness sets) below ~3.2e23; a
 Baillie-PSW style combination (strong base-2 test + strong Lucas test)
 above, with optional extra random-base rounds.
 """
@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from math import gcd, isqrt
 
-# Strong-probable-prime test with these bases is exact below this bound
-# (Sorenson & Webster 2015).
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# Strong-probable-prime test with these twelve bases is exact below psi_12,
+# the least composite that passes all of them (Sorenson & Webster 2015).
+_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_PRIMES: tuple[int, ...] = ()
@@ -118,7 +118,7 @@ def jacobi_symbol(a: int, n: int) -> int:
 
 
 def is_prime(n: int, extra_rounds: int = 0, seed: int = 0) -> bool:
-    """Primality test; exact below 3.3e24, Baillie-PSW style above.
+    """Primality test; exact below 3.2e23, Baillie-PSW style above.
 
     extra_rounds adds random-base strong tests (seeded, so deterministic)
     on top of the base-2 + strong-Lucas combination for large n.

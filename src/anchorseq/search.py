@@ -8,6 +8,11 @@ built once per search: per p, the sorted residues k mod p it kills, as
 conditions.killed_residues reads them off x_0(k); and the shifts at
 which a form equals a sieve prime, which it must keep.
 Blocks of shifts are generated lazily and scanned in order by one loop.
+They grow from MIN_BLOCK_SIZE to MAX_BLOCK_SIZE shifts (2^14 to 2^20),
+doubling once per generation of blocks in flight (2 * workers on a pool,
+one when serial), so early stops stay early while a long scan pays the
+per-block sieve set-up about once per million shifts.  A search that
+stops at max_witnesses stops growing its blocks at its first witness.
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice
+from itertools import compress, count, islice
 
 from .conditions import InadmissibleFamily, full_admissibility, killed_residues
 from .construction import AnchorScheme, coefficient_range
@@ -26,7 +30,8 @@ from .crt import SolutionFamily
 from .primality import is_prime, sieve_primes
 
 DEFAULT_SIEVE_BOUND = 10_000
-DEFAULT_BLOCK_SIZE = 1 << 14
+MIN_BLOCK_SIZE = 1 << 14
+MAX_BLOCK_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ def _scan_block(
     """Witnesses with k in block, found via pre-sieve + direct test."""
     k_lo, size = block.start, len(block)
     alive = bytearray(b"\x01") * size
-    zeros = memoryview(bytes(size))
+    zeros = memoryview(bytes((size + 1) // 2))  # no slice of stride p >= 2 is longer
     for p, r in zip(sieve[::2], sieve[1::2]):
         i = (r - k_lo) % p
         alive[i::p] = zeros[: len(range(i, size, p))]
@@ -100,7 +105,22 @@ def _scan_block(
     return found
 
 
-def _in_order(pool: ProcessPoolExecutor, fn, items, depth: int):
+def _blocks(k_start: int, k_stop: int, depth: int, grow):
+    """Ranges tiling [k_start, k_stop) in order: the first depth have
+    MIN_BLOCK_SIZE shifts, and each further depth twice as many, up to
+    MAX_BLOCK_SIZE, as long as grow() holds when a generation's first
+    block is drawn."""
+    k0, size = k_start, MIN_BLOCK_SIZE
+    for i in count(1):
+        if k0 >= k_stop:
+            return
+        yield range(k0, min(k0 + size, k_stop))
+        k0 += size
+        if i % depth == 0 and grow():
+            size = min(2 * size, MAX_BLOCK_SIZE)
+
+
+def _in_order(pool, fn, items, depth: int):
     """fn over items on the pool, yielded in order, at most depth in flight."""
     pending = deque(pool.submit(fn, item) for item in islice(items, depth))
     while pending:
@@ -120,10 +140,12 @@ def search_tuples(
 ) -> list[TupleWitness]:
     """All-prime tuples with k in [k_start, k_start + k_count), ascending.
 
-    The sieve tables are built once per search.  Blocks of
-    DEFAULT_BLOCK_SIZE shifts are generated lazily and scanned in order:
-    serially, or on a pool of workers with two blocks per worker in
-    flight.  No block is submitted once max_witnesses are found, and
+    The sieve tables are built once per search.  Blocks of shifts are
+    generated lazily and scanned in order: serially, or on a pool of
+    workers with two blocks per worker in flight.  Blocks grow from 2^14
+    to 2^20 shifts, doubling once per generation of blocks in flight
+    until a witness is found with max_witnesses set, so early stops stay
+    early.  No block is submitted once max_witnesses are found, and
     queued ones are cancelled, so any window starts at once and runs in
     bounded memory.
     Output is deterministic for fixed arguments regardless of worker
@@ -140,11 +162,23 @@ def search_tuples(
             sieve.extend((p, r))
     kept = sorted({(p - xb) // st for p in primes for _, xb, st in forms if (p - xb) % st == 0})
     scan = partial(_scan_block, forms, r_min, extra_rounds, sieve, kept)
-    k_stop, size = k_start + k_count, DEFAULT_BLOCK_SIZE
-    blocks = (range(k0, min(k0 + size, k_stop)) for k0 in range(k_start, k_stop, size))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    results = map(scan, blocks) if pool is None else _in_order(pool, scan, blocks, 2 * workers)
     witnesses: list[TupleWitness] = []
+
+    def far_from_stop() -> bool:
+        # once a search that stops at max_witnesses has found one, its stop
+        # may be near: blocks keep their size, so the work still in flight
+        # when it stops is no more than when its first witness came
+        return max_witnesses is None or not witnesses
+
+    depth = 2 * workers if workers > 1 else 1
+    blocks = _blocks(k_start, k_start + k_count, depth, far_from_stop)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it slows start-up
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        results = _in_order(pool, scan, blocks, depth)
+    else:
+        pool, results = None, map(scan, blocks)
     try:
         for found in results:
             witnesses.extend(found)

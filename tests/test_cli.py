@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -135,8 +134,8 @@ class TestSolve:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         data = json.loads(out)
         assert data["modulus"] == "1" + "0" * 4999
-        with anchorseq.cli._out(argparse.Namespace(output="-")):  # lifts the limit to read
-            assert family_from_json_dict(data) == family
+        assert family_from_json_dict(data) == family  # reads past the limit too
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestSearch:
@@ -223,6 +222,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["1", "2", "2", "3"]
+
+
+def test_import_leaves_the_process_pool_out():
+    # only search --workers N > 1 needs the pool, and importing
+    # concurrent.futures pulls in multiprocessing, which slows every command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, anchorseq.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.strip().strip("[]").replace("'", "").split(", ")
+    assert "anchorseq.cli" in modules
+    assert "concurrent.futures" not in modules and "multiprocessing" not in modules
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

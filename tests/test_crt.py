@@ -1,4 +1,5 @@
 import json
+import sys
 from math import lcm
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from anchorseq import (
     Incompatible,
+    SolutionFamily,
     build_system,
     family_from_json_dict,
     get_scheme,
@@ -16,6 +18,7 @@ from anchorseq import (
     solve_scheme,
     solve_system,
 )
+from anchorseq.crt import unlimited_int_digits
 
 DEFAULT = get_scheme("default")
 
@@ -229,3 +232,17 @@ def test_family_json_round_trip():
         tamper(data)
         with pytest.raises(ValueError, match="lcm"):
             family_from_json_dict(data)
+
+
+def test_family_json_round_trip_past_the_int_str_limit():
+    # 7,927 digits, as many as `solve --scheme no_prime --q 1000` writes:
+    # more than Python 3.11+ converts from str by default
+    modulus = 10**7926
+    fam = SolutionFamily(q=1, base=1, modulus=modulus, moduli={-1: 1, 0: 1, 1: modulus})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with unlimited_int_digits():
+        blob = json.dumps(fam.to_json_dict())
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert len(json.loads(blob)["modulus"]) == 7927
+    assert family_from_json_dict(json.loads(blob)) == fam
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -47,6 +47,15 @@ class TestIsPrime:
         assert not is_prime(2**127 + 1)
         assert not is_prime((10**50 + 151) ** 2)  # perfect square above 2^64
 
+    def test_psi_12_and_psi_13_rejected(self):
+        # the least composites that pass the strong test to every prime base
+        # up to 37 and up to 41 (Sorenson & Webster 2015)
+        psi_12 = 399_165_290_221 * 798_330_580_441
+        psi_13 = 1_287_836_182_261 * 2_575_672_364_521
+        assert (psi_12, psi_13) == (318665857834031151167461, 3317044064679887385961981)
+        assert not is_prime(psi_12)
+        assert not is_prime(psi_13)
+
     def test_extra_rounds_deterministic(self):
         n = 2**521 - 1
         assert is_prime(n, extra_rounds=4) == is_prime(n, extra_rounds=4)

@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import pytest
 
@@ -87,8 +88,10 @@ class TestSearchTuples:
         assert len(witnesses) == 3
 
     def test_workers_deterministic(self, monkeypatch):
-        # small blocks, so each window spans 30 of them on 4 workers
-        monkeypatch.setattr("anchorseq.search.DEFAULT_BLOCK_SIZE", 1 << 10)
+        # small blocks that reach their cap after 3,584 shifts on 4 workers,
+        # so each window spans about 75 blocks there and 60 serially
+        monkeypatch.setattr("anchorseq.search.MIN_BLOCK_SIZE", 1 << 6)
+        monkeypatch.setattr("anchorseq.search.MAX_BLOCK_SIZE", 1 << 9)
         for q, k_start in ((2, 0), (1, 12_345)):
             fam = solve_scheme(DEFAULT, q)
             serial = search_tuples(fam, k_start, 30_000)
@@ -113,6 +116,72 @@ class TestSearchTuples:
     def test_empty_result_is_not_an_error(self):
         fam = solve_scheme(DEFAULT, 1)
         assert search_tuples(fam, 2, 1) == []  # k = 2 gives composite 35
+
+
+class TestBlocks:
+    MIN, MAX = anchorseq.search.MIN_BLOCK_SIZE, anchorseq.search.MAX_BLOCK_SIZE
+
+    def check_schedule(self, blocks, k_start, depth):
+        """Contiguous from k_start, sized min(MIN << (i // depth), MAX)
+        except that the last may be cut short."""
+        k = k_start
+        for i, block in enumerate(blocks):
+            assert block.start == k and block.step == 1 and len(block) >= 1
+            size = min(self.MIN << (i // depth), self.MAX)
+            assert len(block) == size or block is blocks[-1] and len(block) < size
+            k = block.stop
+        return k
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "k_start, k_count",
+        [
+            (0, 0),  # empty
+            (7, 1),  # one shift
+            (0, MIN + 5),  # ends early in the second block
+            (3, 5 * MIN - 1),  # ends mid-block after the growth starts
+            (-(10**6), 2 * 10**6 + 1),  # negative start, crosses the cap and k = 0
+        ],
+    )
+    def test_tiles_the_window_exactly(self, k_start, k_count, depth):
+        blocks = list(anchorseq.search._blocks(k_start, k_start + k_count, depth, lambda: True))
+        assert self.check_schedule(blocks, k_start, depth) == k_start + k_count
+        assert sum(map(len, blocks)) == k_count
+        assert blocks or k_count == 0
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_huge_window_starts_small_and_stays_capped(self, depth):
+        huge = anchorseq.search._blocks(10**19, 10**30, depth, lambda: True)
+        blocks = list(islice(huge, 20 * depth))
+        assert self.check_schedule(blocks, 10**19, depth) == blocks[-1].stop
+        assert [len(b) for b in blocks[:depth]] == [self.MIN] * depth
+        assert max(map(len, blocks)) == self.MAX == len(blocks[-1])
+
+    def test_a_generation_grows_only_while_grow_holds(self):
+        answers = iter([True, False, True])
+        blocks = list(islice(anchorseq.search._blocks(0, 10**30, 2, lambda: next(answers)), 8))
+        assert [len(b) // self.MIN for b in blocks] == [1, 1, 2, 2, 2, 2, 4, 4]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_stop_growing_at_the_first_witness_of_an_early_stop(
+        self, monkeypatch, workers
+    ):
+        # q = 1 has witnesses in its first block, so a search that stops at
+        # max_witnesses keeps the smallest blocks, and one that does not grows
+        sizes, blocks = [], anchorseq.search._blocks
+
+        def spy(*args):
+            for block in blocks(*args):
+                sizes.append(len(block))
+                yield block
+
+        monkeypatch.setattr(anchorseq.search, "_blocks", spy)
+        fam = solve_scheme(DEFAULT, 1)
+        search_tuples(fam, 0, 10**6, max_witnesses=400, workers=workers)
+        assert len(sizes) > 2 * workers + 1 and set(sizes) == {self.MIN}
+        sizes.clear()
+        search_tuples(fam, 0, 2 * 10**5, workers=workers)
+        assert max(sizes) > self.MIN
 
 
 class TestTwinPrimeDegeneration:
